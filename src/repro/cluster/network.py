@@ -34,6 +34,10 @@ Performance design (shaped by profiling — see the optimisation guide's
   route (as dense link ids) of every active flow live in parallel arrays, so
   settling, progressive filling, and next-completion prediction are all
   vectorised; detaching swap-removes a slot in O(route length).
+* **One backend, chosen at construction**: the compiled kernels of
+  :mod:`repro.accel` when they build (:class:`_CFabric`), numpy otherwise
+  (:class:`_NumpyFabric`).  Both perform the same float operations, so
+  the choice never shows in a trace.
 
 Correctness invariants (exercised by the property tests):
 
@@ -67,17 +71,19 @@ __all__ = ["Flow", "FlowNetwork"]
 #: Declarations for caches that are maintained *incrementally* rather than
 #: recomputed on a version key: writes to these structures are only legal
 #: inside the listed maintainer methods (plus ``__init__``); ``repro check``
-#: flags any other write site.  The runtime A/B reference for all of them is
-#: the ``REPRO_NO_CACHE=1`` escape hatch (``_refill_reference``).
+#: flags any other write site.  ``_refill`` runs on the backend chosen at
+#: construction; its reference is the numpy ``_refill_reference``, which is
+#: also the backend under ``REPRO_NO_CACHE=1`` and on compiler-less hosts.
 CACHE_DEPS = {
     "FlowNetwork._refill": {
         "inputs": (
-            "FlowNetwork._mat",
+            "FlowNetwork._routes",
+            "FlowNetwork._route_lens",
             "FlowNetwork._caps",
             "FlowNetwork._finite_caps",
         ),
         "reference": "_refill_reference",
-        "maintainers": ("_attach", "_detach", "start_flow", "_register_route"),
+        "maintainers": ("_attach", "_detach", "start_flow"),
     },
 }
 
@@ -251,30 +257,10 @@ class FlowNetwork:
         self._rates = np.zeros(cap0)
         self._caps = np.zeros(cap0)
         self._route_lens = np.zeros(cap0, dtype=np.int64)
-        # flow→link incidence for the fast refill: a pad-filled
-        # (slot, link) route matrix.  The pad id equals len(_caps_arr) at
-        # all times; registering a new link rewrites live pad entries.
-        # The C kernels derive the link→flow CSR from it per call.
-        self._matW = 4
-        self._mat = np.zeros((cap0, self._matW), dtype=np.int64)
-        self._drained_buf = np.zeros(cap0, dtype=np.int64)
-        self._horizon_buf = np.zeros(1)
-        self._kern_ptrs: Optional[tuple] = None  # cached C-kernel args
-        # persistent C-side link->flows membership, mirrored from
-        # _attach/_detach; None = unavailable or dropped after a desync
-        self._cstate: Optional[int] = None
-        self._cstate_fin = None
-        # the compiled-kernel handle, resolved once (process-global and
-        # stable); None under REPRO_NO_CACHE so every `self._kern is not
-        # None` site implies the cached fast path is allowed
-        self._kern = None if self._no_cache else _accel.refill_kernel()
-        if self._kern is not None:
-            ptr = self._kern.state_new()
-            if ptr:
-                self._cstate = ptr
-                self._cstate_fin = weakref.finalize(
-                    self, self._kern.state_free, ptr
-                )
+        # the fabric backend, fixed for the network's life: the C kernels
+        # when they compile, numpy otherwise and under REPRO_NO_CACHE
+        kern = None if self._no_cache else _accel.refill_kernel()
+        self._backend = _NumpyFabric(self) if kern is None else _CFabric(self, kern)
         self._finite_caps = 0  # attached flows with a finite max_rate
         self._refill_deferred = False
         self._last_settle = sim.now
@@ -368,11 +354,6 @@ class FlowNetwork:
                 self._caps_arr = np.append(
                     self._caps_arr, self.effective_capacity(link)
                 )
-                # live rows padded with the old pad id (== lid) now collide
-                # with the freshly registered link — repoint them
-                if self._flows:
-                    live = self._mat[: len(self._flows)]
-                    live[live == lid] = lid + 1
             ids[i] = lid
         self.epoch += 1
         return ids
@@ -392,16 +373,7 @@ class FlowNetwork:
         if route == flow.route:
             return False
         self._settle_all()
-        if self._refill_deferred:
-            # flush a same-instant deferred refill so the remaining-byte
-            # snapshot below integrates a fresh rate (mirrors cancel_flow)
-            self._refill_deferred = False
-            prof = _obs_profile.ACTIVE
-            if prof is None:
-                self._refill()
-            else:
-                with prof.scope("network.refill"):
-                    self._refill()
+        self._flush_deferred_refill()
         remaining = float(self._rem[flow._slot])
         self._detach(flow)
         flow.route = route
@@ -424,16 +396,7 @@ class FlowNetwork:
             flow._completion = None
         if flow._slot != _NO_SLOT:
             self._settle_all()
-            if self._refill_deferred:
-                # a same-instant tick deferred its refill; flush it so the
-                # final rate frozen into the detached flow is the fresh one
-                self._refill_deferred = False
-                prof = _obs_profile.ACTIVE
-                if prof is None:
-                    self._refill()
-                else:
-                    with prof.scope("network.refill"):
-                        self._refill()
+            self._flush_deferred_refill()
             self._detach(flow)
             self._mark_dirty()
 
@@ -472,15 +435,15 @@ class FlowNetwork:
         n = len(self._flows)
         n_links = len(self._caps_arr)
         # one pass: per-link sum of member rates via a weighted bincount
-        # over the flow→link incidence (pad ids collect into an extra bin)
+        # over the flow→link incidence, summed in slot order per link
         if n:
             used = np.bincount(
-                self._mat[:n].ravel(),
-                weights=np.repeat(self._rates[:n], self._matW),
-                minlength=n_links + 1,
+                np.concatenate(self._routes),
+                weights=np.repeat(self._rates[:n], self._route_lens[:n]),
+                minlength=n_links,
             )
         else:
-            used = np.zeros(n_links + 1)
+            used = np.zeros(n_links)
         out: List[float] = []
         for link in self.topology.links():
             lid = self._link_ids.get(link)
@@ -697,20 +660,7 @@ class FlowNetwork:
             share = np.empty(n_links + 1, dtype=np.float64)
             np.divide(self._rm_eff, self._rm_counts + 1.0, out=share[:n_links])
             share[n_links] = math.inf  # padding id: never the min
-            k, _, depth = tensor.shape
-            kern = self._kern
-            if kern is not None:
-                # C row-wise gather+min: skips the (k, k, depth) gathered
-                # intermediate; bit-identical (min over NaN-free doubles)
-                r = np.empty((k, k), dtype=np.float64)
-                rc = kern.gather_min(
-                    k * k, depth, tensor.ctypes.data,
-                    share.ctypes.data, r.ctypes.data,
-                )
-                if rc != 0:  # pragma: no cover - depth >= 1 by construction
-                    r = share[tensor].min(axis=2)
-            else:
-                r = share[tensor].min(axis=2)
+            r = self._backend.gather_min(tensor, share)
             np.fill_diagonal(r, self.local_bandwidth)
             r.setflags(write=False)
             self._rm_cache = r
@@ -771,19 +721,6 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # slot management
     # ------------------------------------------------------------------
-    def _drop_cstate(self) -> None:
-        """Abandon the persistent C membership (desync or alloc failure).
-
-        The matrix-scan kernels take over seamlessly; dropping is one-way
-        because the state can only be rebuilt from a known-empty fabric.
-        """
-        if self._cstate is not None:
-            self._cstate = None
-            fin = self._cstate_fin
-            self._cstate_fin = None
-            if fin is not None:
-                fin()
-
     def _attach(self, flow: Flow) -> None:
         slot = len(self._flows)
         if slot == len(self._rem):  # grow capacity
@@ -793,44 +730,23 @@ class FlowNetwork:
             self._route_lens = np.concatenate(
                 [self._route_lens, np.zeros(slot, dtype=np.int64)]
             )
-            self._mat = np.concatenate(
-                [self._mat, np.full_like(self._mat, len(self._caps_arr))]
-            )
-            self._drained_buf = np.zeros(2 * slot, dtype=np.int64)
         ids = flow.route_ids
-        if len(ids) > self._matW:  # a longer route than any seen: widen
-            wider = np.full(
-                (len(self._mat), len(ids)), len(self._caps_arr), dtype=np.int64
-            )
-            wider[:, : self._matW] = self._mat
-            self._mat, self._matW = wider, len(ids)
         self._flows.append(flow)
         self._routes.append(ids)
         self._rem[slot] = flow.size
         self._rates[slot] = 0.0
         self._caps[slot] = flow.max_rate
         self._route_lens[slot] = len(ids)
-        row = self._mat[slot]
-        row[: len(ids)] = ids
-        row[len(ids):] = len(self._caps_arr)  # re-pad a recycled slot's tail
         if math.isfinite(flow.max_rate):
             self._finite_caps += 1
         flow._slot = slot
-        if self._cstate is not None:
-            rc = self._kern.state_attach(
-                self._cstate, slot, ids.ctypes.data, len(ids)
-            )
-            if rc != 0:  # pragma: no cover - allocation failure only
-                self._drop_cstate()
+        self._backend.attach(slot, ids)
 
     def _detach(self, flow: Flow) -> None:
         """Swap-remove the flow's slot; must be settled first."""
         slot = flow._slot
         assert slot != _NO_SLOT
-        if self._cstate is not None:
-            rc = self._kern.state_detach(self._cstate, slot)
-            if rc != 0:  # pragma: no cover - implies a desynced mirror
-                self._drop_cstate()
+        self._backend.detach(slot)
         # freeze the flow's final view into its own fields
         flow._remaining = float(self._rem[slot])
         flow._rate = float(self._rates[slot])
@@ -847,7 +763,6 @@ class FlowNetwork:
             self._rates[slot] = self._rates[last]
             self._caps[slot] = self._caps[last]
             self._route_lens[slot] = self._route_lens[last]
-            self._mat[slot] = self._mat[last]
             moved._slot = slot
         self._flows.pop()
         self._routes.pop()
@@ -870,13 +785,15 @@ class FlowNetwork:
     def _settle_all(self) -> None:
         """Integrate all fabric flows' progress up to the current instant."""
         now = self.sim.now
-        dt = now - self._last_settle
-        n = len(self._flows)
+        self._settle(len(self._flows), now - self._last_settle)
+        self._last_settle = now
+
+    def _settle(self, n: int, dt: float) -> None:
+        """Drain ``dt`` seconds of progress from the first ``n`` slots."""
         if dt > 0 and n:
             rem = self._rem[:n]
             rem -= self._rates[:n] * dt
             np.maximum(rem, 0.0, out=rem)
-        self._last_settle = now
 
     def _complete(self, flow: Flow) -> None:
         """Mark a flow finished and run its callback."""
@@ -910,77 +827,34 @@ class FlowNetwork:
     def _tick(self) -> None:
         """Settle, finish drained flows, refill rates, schedule next tick.
 
-        The common case — time advanced, nothing drained — runs as ONE
-        fused C-kernel call (settle + drain-detect + refill + horizon)
-        instead of a dozen numpy dispatches; see :mod:`repro.accel`.
-        The kernel performs the identical float operations, so traces
-        are byte-identical to the Python path it replaces.
+        The common case — time advanced, nothing drained — is one backend
+        call (settle + drain-detect + refill + horizon); on the C backend
+        that is a single kernel call instead of a dozen numpy dispatches.
         """
         if self._tick_event is not None:
             self._tick_event.cancel()
             self._tick_event = None
         self.reallocations += 1
-        kern = self._kern
+        now = self.sim.now
+        dt = now - self._last_settle
+        self._last_settle = now
         n = len(self._flows)
-        if kern is not None and n:
-            args = self._kernel_args()
-            if args is not None:
-                now = self.sim.now
-                have = 1 if self._finite_caps else 0
-                if self._cstate is not None:
-                    rc = kern.tick_state(
-                        self._cstate, n, len(self._caps_arr),
-                        args[1], args[2], have,
-                        now - self._last_settle, _EPS_BYTES,
-                        args[3], args[4], args[5], args[6],
-                    )
-                    self._last_settle = now
-                    if rc == -3:  # pragma: no cover - desynced mirror
-                        # the call already settled rem; retry the matrix
-                        # kernel over a zero-width interval
-                        self._drop_cstate()
-                        rc = kern.tick(
-                            n, len(self._caps_arr), self._matW,
-                            args[0], args[1], args[2], have,
-                            0.0, _EPS_BYTES,
-                            args[3], args[4], args[5], args[6],
-                        )
-                else:
-                    rc = kern.tick(
-                        n, len(self._caps_arr), self._matW,
-                        args[0], args[1], args[2], have,
-                        now - self._last_settle, _EPS_BYTES,
-                        args[3], args[4], args[5], args[6],
-                    )
-                    self._last_settle = now
-                if rc == 0:
-                    # nothing drained: rates are fresh, horizon computed
-                    self._refill_deferred = False
-                    return self._schedule_next(
-                        horizon=float(self._horizon_buf[0])
-                    )
-                if rc > 0:
-                    drained_slots = self._drained_buf[:rc]
-                else:  # kernel bailed; re-derive on the Python path
-                    self._settle_all()
-                    drained_slots = np.nonzero(
-                        self._rem[:n] <= _EPS_BYTES
-                    )[0]
-            else:  # pragma: no cover - arrays stay contiguous
-                self._settle_all()
-                drained_slots = np.nonzero(self._rem[:n] <= _EPS_BYTES)[0]
-        else:
-            self._settle_all()
-            drained_slots = np.nonzero(self._rem[:n] <= _EPS_BYTES)[0]
-        if len(drained_slots):
-            # deterministic completion order within one instant
-            drained = sorted(
-                (self._flows[s] for s in drained_slots), key=lambda f: f.fid
-            )
-            for flow in drained:
-                self._detach(flow)
-            for flow in drained:
-                self._complete(flow)   # callbacks may start flows
+        if n == 0:
+            self._refill_deferred = False
+            return
+        drained_slots, horizon = self._backend.tick(n, dt)
+        if horizon is not None:
+            # nothing drained: rates are fresh, horizon computed
+            self._refill_deferred = False
+            return self._schedule_next(horizon)
+        # deterministic completion order within one instant
+        drained = sorted(
+            (self._flows[s] for s in drained_slots), key=lambda f: f.fid
+        )
+        for flow in drained:
+            self._detach(flow)
+        for flow in drained:
+            self._complete(flow)   # callbacks may start flows
         # A completion callback that started (or cancelled) a flow has
         # scheduled a zero-delay follow-up tick at this very instant.  The
         # rates computed here would be recomputed there, unobserved in
@@ -998,65 +872,33 @@ class FlowNetwork:
             self._refill_deferred = True
             return
         self._refill_deferred = False
-        if kern is not None:
-            n = len(self._flows)
-            if n == 0:
-                return
-            args = self._kernel_args()
-            if args is not None:
-                have = 1 if self._finite_caps else 0
-                if self._cstate is not None:
-                    rc = kern.refill_horizon_state(
-                        self._cstate, n, len(self._caps_arr),
-                        args[1], args[2], have,
-                        args[3], args[4], args[6],
-                    )
-                    if rc == -3:  # pragma: no cover - desynced mirror
-                        self._drop_cstate()
-                        rc = -3
-                else:
-                    rc = -3
-                if rc == -3:
-                    rc = kern.refill_horizon(
-                        n, len(self._caps_arr), self._matW,
-                        args[0], args[1], args[2], have,
-                        args[3], args[4], args[6],
-                    )
-                if rc == 0:
-                    return self._schedule_next(
-                        horizon=float(self._horizon_buf[0])
-                    )
-        prof = _obs_profile.ACTIVE
-        if prof is None:
-            self._refill()
-        else:
-            with prof.scope("network.refill"):
-                self._refill()
-        self._schedule_next()
+        if self._flows:
+            self._schedule_next(self._refill())
+
+    def _horizon(self) -> float:
+        """Earliest ``remaining / rate`` over the progressing flows.
+
+        -1.0 when no flow progresses.  A capacity factor driven to ~0 can
+        stall flows at rate 0; they must not poison the horizon with a
+        division warning / inf.
+        """
+        n = len(self._flows)
+        rates = self._rates[:n]
+        progressing = rates > 0.0
+        if not progressing.any():
+            return -1.0
+        return float((self._rem[:n][progressing] / rates[progressing]).min())
 
     def _schedule_next(self, horizon: Optional[float] = None) -> None:
         """One event at the earliest predicted completion among all flows.
 
-        ``horizon`` carries the C tick kernel's precomputed value; the
-        kernel returns -1.0 for "no flow progressing", mirroring the
-        empty-``progressing`` branch below.
+        ``horizon`` is the backend's precomputed :meth:`_horizon` (-1.0:
+        no flow progressing); None computes it here.
         """
-        n = len(self._flows)
-        if n == 0:
+        if not self._flows:
             return
         if horizon is None:
-            # A capacity factor driven to ~0 can stall flows at rate 0;
-            # they must not poison the horizon with a division warning /
-            # inf, and at least one flow has to be progressing or no
-            # future tick would ever drain the fabric.
-            rates = self._rates[:n]
-            progressing = rates > 0.0
-            if not progressing.any():
-                horizon = -1.0
-            else:
-                horizon = float(
-                    (self._rem[:n][progressing] / rates[progressing]).min()
-                )
+            horizon = self._horizon()
         if horizon < 0.0:
             # every fabric flow is stalled behind a failed link; the heal /
             # re-route path marks the fabric dirty when capacity returns,
@@ -1071,41 +913,7 @@ class FlowNetwork:
             ev.cancel()
         self._tick_event = self.sim.schedule(horizon, self._tick)
 
-    def _kernel_args(self) -> Optional[tuple]:
-        """Raw data pointers for the C kernels, cached on array identity.
-
-        ctypes ``data_as()`` conversions cost more than the kernels
-        themselves at the fabric's call rates, and the hot arrays only
-        change object identity when they grow — so the pointer tuple is
-        rebuilt only on an identity miss.  Returns ``(mat_p, caps_p,
-        fcaps_p, rem_p, rates_p, drained_p, horizon_p)`` or None when an
-        array is unexpectedly non-contiguous.
-        """
-        ptrs = self._kern_ptrs
-        if (
-            ptrs is not None
-            and ptrs[0] is self._mat
-            and ptrs[1] is self._caps_arr
-            and ptrs[2] is self._rem
-        ):
-            return ptrs[3]
-        mat, caps_arr = self._mat, self._caps_arr
-        if not (mat.flags.c_contiguous and caps_arr.flags.c_contiguous):
-            self._kern_ptrs = None  # pragma: no cover - arrays stay contiguous
-            return None
-        args = (
-            mat.ctypes.data,
-            caps_arr.ctypes.data,
-            self._caps.ctypes.data,
-            self._rem.ctypes.data,
-            self._rates.ctypes.data,
-            self._drained_buf.ctypes.data,
-            self._horizon_buf.ctypes.data,
-        )
-        self._kern_ptrs = (mat, caps_arr, self._rem, args)
-        return args
-
-    def _refill(self) -> None:
+    def _refill(self) -> float:
         """Recompute max-min fair rates for all fabric flows.
 
         Progressive filling with per-flow rate caps and *tie-collapsed*
@@ -1119,49 +927,44 @@ class FlowNetwork:
         level*, and each frozen flow's links are updated with a single
         multiply-subtract rather than one scalar update per (flow, link).
 
-        The fast implementation is a C kernel compiled on demand from
-        :mod:`repro.accel` (the default whenever a system compiler is
-        present; disable with ``REPRO_NO_CKERNEL=1``).  It performs the
-        same floating-point operations on the same operand sets as
-        :meth:`_refill_reference` (the ``REPRO_NO_CACHE=1`` escape hatch
-        and compiler-less fallback): the freeze *set* is determined by
+        Runs on the backend chosen at construction and returns the
+        next-completion horizon.  The C kernel performs the same
+        floating-point operations on the same operand sets as
+        :meth:`_refill_reference`: the freeze *set* is determined by
         link identity alone, per-link decrement counts are order-free
         integers, the ``residual - rate * count`` update uses identical
         operands, and the kernel is built with ``-ffp-contract=off`` so
-        no FMA contraction can perturb a rounding — so the two paths are
-        bit-identical.  ``tests/test_perf_cache.py`` holds them to
-        byte-identical traces.
+        no FMA contraction can perturb a rounding — so the two backends
+        are bit-identical.  ``tests/test_fabric_backends.py`` and
+        ``tests/test_perf_cache.py`` hold them to it.
         """
-        kern = self._kern
-        if kern is not None:
-            nF = len(self._flows)
-            if nF == 0:
-                return
-            args = self._kernel_args()
-            if args is not None:
-                rc = kern.refill(
-                    nF, len(self._caps_arr), self._matW,
-                    args[0], args[1], args[2],
-                    1 if self._finite_caps else 0,
-                    args[4],
-                )
-                if rc == 0:
-                    return
-                # fall through: the reference re-derives everything
-                # and raises the relevant assertion with context
-        return self._refill_reference()
+        prof = _obs_profile.ACTIVE
+        if prof is None:
+            return self._backend.refill(len(self._flows))
+        with prof.scope("network.refill"):
+            return self._backend.refill(len(self._flows))
+
+    def _flush_deferred_refill(self) -> None:
+        """Run a refill a same-instant tick deferred (see :meth:`_tick`).
+
+        A flow about to detach or re-route must freeze or integrate a
+        fresh rate, not the one from before the deferral.
+        """
+        if self._refill_deferred:
+            self._refill_deferred = False
+            self._refill()
 
     def _refill_reference(self) -> None:
-        """The pure-numpy refill: ``REPRO_NO_CACHE`` path and C fallback.
+        """The pure-numpy refill behind :class:`_NumpyFabric`.
 
         Builds the flow→link and link→flow CSR structures up front and
         gathers candidates and frozen flows' links through them, running
-        the same tie-collapsed progressive filling as the C kernel behind
-        :meth:`_refill`: identical share divisions, identical freeze sets
-        (all unfrozen members of every minimum-share link), and identical
-        fused ``rate * count`` capacity updates.  The A/B reference for
+        the same tie-collapsed progressive filling as the C kernel:
+        identical share divisions, identical freeze sets (all unfrozen
+        members of every minimum-share link), and identical fused
+        ``rate * count`` capacity updates.  The A/B reference for
         :meth:`_refill`, and the implementation of record when no C
-        compiler is available.
+        compiler is available or under ``REPRO_NO_CACHE=1``.
         """
         nF = len(self._flows)
         if nF == 0:
@@ -1235,3 +1038,135 @@ class FlowNetwork:
                 residual -= rate * cnt
                 nflows -= cnt
         np.maximum(residual, 0.0, out=residual)
+
+
+# ----------------------------------------------------------------------
+# fabric backends: one is chosen per FlowNetwork, at construction
+# ----------------------------------------------------------------------
+def _check_rc(rc: int, where: str) -> int:
+    """Pass a C-kernel return code through, raising on a failure code."""
+    if rc >= 0:
+        return rc
+    if rc == -1:
+        raise MemoryError(f"fabric kernel allocation failed in {where}")
+    if rc == -2:
+        # the message _refill_reference asserts with
+        raise AssertionError("uncapped flow with no route links")
+    raise RuntimeError(f"C fabric state out of step with the flow slots: {where}")
+
+
+class _NumpyFabric:
+    """The numpy backend: settle, drain-detect, ``_refill_reference``.
+
+    Used when the C kernels do not compile and under ``REPRO_NO_CACHE=1``;
+    the reference the C backend is tested against.  Reads and writes the
+    network's slot arrays in place.
+    """
+
+    def __init__(self, net: FlowNetwork) -> None:
+        self.net = net
+
+    def attach(self, slot: int, ids: np.ndarray) -> None:
+        pass  # _refill_reference rebuilds its link index from _routes
+
+    def detach(self, slot: int) -> None:
+        pass
+
+    def tick(self, n: int, dt: float) -> tuple:
+        """Settle ``dt``; ``(drained slots, None)`` or ``(_, horizon)``."""
+        net = self.net
+        net._settle(n, dt)
+        drained = np.nonzero(net._rem[:n] <= _EPS_BYTES)[0]
+        if len(drained):
+            return drained, None
+        return drained, self.refill(n)
+
+    def refill(self, n: int) -> float:
+        """Refill rates; the earliest completion, or -1.0 if none progresses."""
+        self.net._refill_reference()
+        return self.net._horizon()
+
+    @staticmethod
+    def gather_min(tensor: np.ndarray, share: np.ndarray) -> np.ndarray:
+        return share[tensor].min(axis=2)
+
+
+class _CFabric:
+    """The C backend over :mod:`repro.accel`'s compiled kernels.
+
+    Owns the persistent C link→flows membership (mirrored from
+    ``_attach`` / ``_detach``) and the raw data pointers of the network's
+    slot arrays.  ctypes conversions cost more than the kernels at the
+    fabric's call rates, and the arrays only change identity when they
+    grow, so the pointers are re-read only on an identity miss.  A
+    negative kernel return code raises (see :func:`_check_rc`).
+    """
+
+    def __init__(self, net: FlowNetwork, kern) -> None:
+        self.net = net
+        self.kern = kern
+        state = kern.state_new()
+        if not state:
+            raise MemoryError("fabric state allocation failed")
+        self.state = state
+        weakref.finalize(self, kern.state_free, state)
+        # kernel outputs: drained slot ids (sized like the slot arrays) and
+        # the next-completion horizon
+        self._drained = np.zeros(0, dtype=np.int64)
+        self._horizon = np.zeros(1)
+        self._ptrs: Optional[tuple] = None
+
+    def _args(self) -> tuple:
+        """``(caps, flow_caps, rem, rates, drained, horizon)`` pointers."""
+        net = self.net
+        ptrs = self._ptrs
+        if ptrs is None or ptrs[0] is not net._caps_arr or ptrs[1] is not net._rem:
+            # _caps and _rates grow together with _rem; so does _drained
+            if len(self._drained) < len(net._rem):
+                self._drained = np.zeros(len(net._rem), dtype=np.int64)
+            args = tuple(a.ctypes.data for a in (
+                net._caps_arr, net._caps, net._rem, net._rates,
+                self._drained, self._horizon,
+            ))
+            ptrs = self._ptrs = (net._caps_arr, net._rem, args)
+        return ptrs[2]
+
+    def attach(self, slot: int, ids: np.ndarray) -> None:
+        rc = self.kern.state_attach(self.state, slot, ids.ctypes.data, len(ids))
+        _check_rc(rc, f"attach of slot {slot}")
+
+    def detach(self, slot: int) -> None:
+        _check_rc(self.kern.state_detach(self.state, slot), f"detach of slot {slot}")
+
+    def tick(self, n: int, dt: float) -> tuple:
+        """Settle ``dt``; ``(drained slots, None)`` or ``(_, horizon)``."""
+        net = self.net
+        caps, fcaps, rem, rates, drained, horizon = self._args()
+        rc = _check_rc(self.kern.tick(
+            self.state, n, len(net._caps_arr), caps, fcaps,
+            1 if net._finite_caps else 0, dt, _EPS_BYTES,
+            rem, rates, drained, horizon,
+        ), f"tick over {n} slots")
+        if rc:
+            return self._drained[:rc], None
+        return self._drained[:0], float(self._horizon[0])
+
+    def refill(self, n: int) -> float:
+        """Refill rates; the earliest completion, or -1.0 if none progresses."""
+        net = self.net
+        caps, fcaps, rem, rates, _, horizon = self._args()
+        _check_rc(self.kern.refill(
+            self.state, n, len(net._caps_arr), caps, fcaps,
+            1 if net._finite_caps else 0, rem, rates, horizon,
+        ), f"refill over {n} slots")
+        return float(self._horizon[0])
+
+    def gather_min(self, tensor: np.ndarray, share: np.ndarray) -> np.ndarray:
+        """``share[tensor].min(axis=2)`` without the gathered intermediate;
+        bit-identical, since min over NaN-free doubles is exact."""
+        k, _, depth = tensor.shape
+        out = np.empty((k, k), dtype=np.float64)
+        self.kern.gather_min(
+            k * k, depth, tensor.ctypes.data, share.ctypes.data, out.ctypes.data
+        )
+        return out

@@ -37,3 +37,26 @@ def namenode(small_cluster: Cluster) -> NameNode:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def use_backend(monkeypatch):
+    """Select the fabric backend that FlowNetworks built next will use.
+
+    ``FlowNetwork`` picks its backend at construction.  "c" is the compiled
+    kernels, and is skipped where they do not compile.  "numpy" is what a
+    host without a C compiler runs, with caches on.  "no_cache" is the
+    ``REPRO_NO_CACHE=1`` reference, also on numpy.
+    """
+    from repro import accel
+
+    def select(backend: str) -> None:
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        if backend == "c" and accel.refill_kernel() is None:
+            pytest.skip("C kernels unavailable")
+        elif backend == "numpy":
+            monkeypatch.setattr(accel, "refill_kernel", lambda: None)
+        elif backend == "no_cache":
+            monkeypatch.setenv("REPRO_NO_CACHE", "1")
+
+    return select

@@ -202,9 +202,9 @@ def test_profile_case_covers_engine_wall_time():
     assert doc["components"], "attribution table must be non-empty"
     # the acceptance bar: >= 80 % of engine wall time attributed
     assert doc["coverage"] >= 0.8
-    # the fused C tick absorbs settle/refill/horizon, so "network.tick"
-    # is the one guaranteed fabric component (a standalone
-    # "network.refill" bucket appears only on the non-fused paths)
+    # a tick with nothing drained settles, refills and takes the horizon
+    # in one backend call, so "network.tick" is the one guaranteed fabric
+    # component ("network.refill" appears only for refills after drains)
     assert "network.tick" in doc["components"]
     # and profiling must not leak the active profiler
     assert profile.ACTIVE is None

@@ -55,17 +55,27 @@ def run_traced(tmp_path, tag, *, netcond, churn):
     return trace.read_bytes(), result
 
 
-@pytest.mark.parametrize("variant", ["hop", "netcond", "netcond_churn"])
+# the C backend, which production runs where it compiles, keeps the bare
+# variant id
+@pytest.mark.parametrize(
+    "variant, backend",
+    [
+        pytest.param(v, b, id=v if b == "c" else f"{v}-{b}")
+        for b in ("c", "numpy")
+        for v in ("hop", "netcond", "netcond_churn")
+    ],
+)
 def test_same_seed_trace_identical_with_and_without_caches(
-    tmp_path, monkeypatch, variant
+    tmp_path, monkeypatch, use_backend, variant, backend
 ):
     netcond = variant != "hop"
     churn = variant == "netcond_churn"
 
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    use_backend(backend)
     cached_bytes, cached_result = run_traced(
         tmp_path, "cached", netcond=netcond, churn=churn
     )
+    monkeypatch.undo()  # the naive reference runs on the default build
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     naive_bytes, _ = run_traced(tmp_path, "naive", netcond=netcond, churn=churn)
 

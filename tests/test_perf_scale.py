@@ -72,11 +72,13 @@ def _run_fabric_traced(tmp_path, tag):
     return trace.read_bytes(), result
 
 
+@pytest.mark.parametrize("backend", ["c", "numpy"])
 def test_fabric_fault_trace_identical_with_and_without_caches(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, use_backend, backend
 ):
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    use_backend(backend)
     cached_bytes, result = _run_fabric_traced(tmp_path, "cached")
+    monkeypatch.undo()  # the naive reference runs on the default build
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     naive_bytes, _ = _run_fabric_traced(tmp_path, "naive")
 

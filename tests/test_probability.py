@@ -23,6 +23,16 @@ class TestSharedContract:
         assert model.probability(0.0, 0.0) == 1.0
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_subnormal_cost_accepts_without_overflow_warning(self, model):
+        # c_ave / 5e-324 overflows to +inf: the same "accept" as zero cost,
+        # and no RuntimeWarning may leak (the suite runs them as errors)
+        with np.errstate(all="raise"):
+            assert model.probability(1e300, 5e-324) == 1.0
+            assert np.all(model.probability(
+                np.array([1e300, 1.0]), np.array([5e-324, 5e-324])
+            ) == 1.0)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_zero_average_positive_cost_rejects(self, model):
         assert model.probability(0.0, 10.0) == pytest.approx(0.0)
 
