@@ -8,6 +8,10 @@ project — plain assignment, augmented assignment, subscript stores
 (``self._m[k] = v`` mutates ``_m``), deletes, and calls of known mutating
 methods (``self._m.append(x)`` mutates ``_m``).
 
+Each module also carries its import table, so a pass can resolve a call
+through any alias (``from numpy.random import default_rng as mk``) to the
+dotted name it really refers to.
+
 Everything is plain ``ast`` — the analyzed project is never imported, so
 the passes work identically on the live tree and on the defect fixtures in
 the test suite.
@@ -20,7 +24,16 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Project", "ModuleInfo", "ClassInfo", "FunctionInfo", "Write"]
+from repro.analysis.check.config import CheckConfig
+
+__all__ = [
+    "ClassInfo",
+    "FunctionInfo",
+    "ModuleInfo",
+    "Project",
+    "Write",
+    "read_sources",
+]
 
 #: method names whose call mutates the receiver in place.
 MUTATOR_METHODS = frozenset(
@@ -42,6 +55,39 @@ class ModuleInfo:
     scope: PurePosixPath          # path relative to the analysis root
     source: str
     tree: ast.Module
+    #: local name -> the dotted name an import binds it to
+    imports: Dict[str, str] = field(default_factory=dict)
+
+    def qualified_name(self, expr: ast.expr) -> Optional[str]:
+        """``a.b.c`` with its head resolved through the imports, else None.
+
+        ``np.random.rand`` under ``import numpy as np`` is
+        ``numpy.random.rand``; a chain whose head is not imported (a local,
+        ``self``) resolves to None.
+        """
+        parts: List[str] = []
+        while isinstance(expr, ast.Attribute):
+            parts.append(expr.attr)
+            expr = expr.value
+        if not isinstance(expr, ast.Name) or expr.id not in self.imports:
+            return None
+        parts.append(self.imports[expr.id])
+        return ".".join(reversed(parts))
+
+
+def _import_table(tree: ast.Module) -> Dict[str, str]:
+    table: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                table[alias.asname or head] = (
+                    alias.name if alias.asname else head
+                )
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return table
 
 
 @dataclass
@@ -67,6 +113,8 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: class-level ``name = <literal>`` assignments (e.g. trace ``type`` tags)
     class_literals: Dict[str, Tuple[object, int]] = field(default_factory=dict)
+    #: every name assigned in the class body, literal or not
+    attrs: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -92,7 +140,30 @@ def _base_attribute(expr: ast.expr) -> Optional[ast.Attribute]:
     return expr if isinstance(expr, ast.Attribute) else None
 
 
-def _iter_assign_targets(stmt: ast.stmt) -> Iterator[ast.expr]:
+def callee_name(call: ast.Call) -> Optional[str]:
+    """``f`` for ``f(...)`` and ``obj.f(...)``, else None."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def param_names(args: ast.arguments) -> Set[str]:
+    """Every parameter name a function or lambda binds."""
+    return {
+        a.arg
+        for a in (
+            *args.posonlyargs, *args.args, *args.kwonlyargs,
+            args.vararg, args.kwarg,
+        )
+        if a is not None
+    }
+
+
+def assign_targets(stmt: ast.stmt) -> Iterator[ast.expr]:
+    """The targets an assignment/delete statement stores to, tuples unpacked."""
     if isinstance(stmt, ast.Assign):
         for t in stmt.targets:
             if isinstance(t, (ast.Tuple, ast.List)):
@@ -128,8 +199,7 @@ class Project:
     def from_sources(
         cls, sources: Sequence[Tuple[str, Path, str]]
     ) -> "Project":
-        """Build from in-memory ``(display_path, scope_path, source)`` triples
-        — the same shape :func:`repro.lint.lint_sources` takes."""
+        """Build from in-memory ``(display_path, scope_path, source)`` triples."""
         project = cls()
         for display, scope, source in sources:
             try:
@@ -142,7 +212,8 @@ class Project:
             scope = PurePosixPath(Path(scope).as_posix())
             name = ".".join(scope.with_suffix("").parts)
             info = ModuleInfo(
-                name=name, path=display, scope=scope, source=source, tree=tree
+                name=name, path=display, scope=scope, source=source, tree=tree,
+                imports=_import_table(tree),
             )
             project.modules[name] = info
             project._index_module(info)
@@ -151,17 +222,8 @@ class Project:
 
     @classmethod
     def from_paths(cls, paths: Sequence[Path]) -> "Project":
-        """Parse every ``*.py`` under ``paths`` (same discovery as lint)."""
-        sources: List[Tuple[str, Path, str]] = []
-        for root in paths:
-            root = Path(root)
-            if not root.exists():
-                raise FileNotFoundError(f"no such path: {root}")
-            base = root if root.is_dir() else root.parent
-            for path in _iter_python_files(root):
-                rel = path.relative_to(base)
-                sources.append((str(path), rel, path.read_text(encoding="utf-8")))
-        return cls.from_sources(sources)
+        """Parse every ``*.py`` under ``paths``."""
+        return cls.from_sources(read_sources(paths))
 
     # ------------------------------------------------------------------
     # indexing
@@ -188,12 +250,19 @@ class Project:
                 info.methods[stmt.name] = self._index_function(
                     module, stmt, owner=node.name
                 )
-            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name) and isinstance(
-                    stmt.value, ast.Constant
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    t.id for t in assign_targets(stmt)
+                    if isinstance(t, ast.Name)
+                ]
+                info.attrs.update(names)
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and len(stmt.targets) == 1
+                    and names
+                    and isinstance(stmt.value, ast.Constant)
                 ):
-                    info.class_literals[target.id] = (
+                    info.class_literals[names[0]] = (
                         stmt.value.value,
                         stmt.lineno,
                     )
@@ -226,7 +295,7 @@ class Project:
             if func is not None:
                 func.writes.append(write)
 
-        for target in _iter_assign_targets(stmt):
+        for target in assign_targets(stmt):
             if isinstance(target, ast.Attribute):
                 kind = {
                     ast.AugAssign: "aug",
@@ -260,31 +329,36 @@ class Project:
         infos = self.classes.get(name)
         return infos[0] if infos else None
 
+    def descendants(self, name: str) -> Set[str]:
+        """``name`` plus every class that transitively subclasses it."""
+        out: Set[str] = set()
+        stack = [name]
+        while stack:
+            current = stack.pop()
+            if current not in out:
+                out.add(current)
+                stack.extend(self._subclasses.get(current, ()))
+        return out
+
+    def ancestors(self, name: str) -> Set[str]:
+        """``name`` plus every base it transitively inherits from."""
+        out: Set[str] = set()
+        stack = [name]
+        while stack:
+            current = stack.pop()
+            if current not in out:
+                out.add(current)
+                for info in self.classes.get(current, []):
+                    stack.extend(info.bases)
+        return out
+
     def related_classes(self, name: str) -> Set[str]:
         """``name`` plus its transitive ancestors and descendants.
 
         A write in a base-class method mutates subclass instances (and vice
         versa), so cache-input matching spans the whole chain.
         """
-        related: Set[str] = set()
-        stack = [name]
-        while stack:  # descendants
-            current = stack.pop()
-            if current in related:
-                continue
-            related.add(current)
-            stack.extend(self._subclasses.get(current, ()))
-        stack = [name]
-        seen: Set[str] = set()
-        while stack:  # ancestors
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            related.add(current)
-            for info in self.classes.get(current, []):
-                stack.extend(info.bases)
-        return related
+        return self.descendants(name) | self.ancestors(name)
 
     def writes_to(self, class_name: str, attr: str) -> List[Write]:
         """Every project write plausibly mutating ``class_name.attr``.
@@ -340,3 +414,27 @@ def _iter_python_files(root: Path) -> Iterable[Path]:
         ):
             continue
         yield path
+
+
+def read_sources(
+    paths: Sequence[Path], config: Optional[CheckConfig] = None
+) -> List[Tuple[str, Path, str]]:
+    """``(display_path, scope_path, source)`` for every ``*.py`` under ``paths``.
+
+    With a ``config``, excluded files are dropped and scope paths are made
+    relative to its project root; without one, scope paths are relative to
+    each path argument.
+    """
+    sources: List[Tuple[str, Path, str]] = []
+    for root in map(Path, paths):
+        if not root.exists():
+            raise FileNotFoundError(f"no such path: {root}")
+        base = root if root.is_dir() else root.parent
+        for path in _iter_python_files(root):
+            rel = path.relative_to(base)
+            if config is not None:
+                if config.is_excluded(path.resolve()):
+                    continue
+                rel = config.scope_path(path, rel)
+            sources.append((str(path), rel, path.read_text(encoding="utf-8")))
+    return sources

@@ -8,8 +8,10 @@ seeded from one of those children or from an explicitly injected parameter.
 This pass verifies the contract statically, whole-program:
 
 * ``rng-ambient`` — ``default_rng()`` / ``SeedSequence()`` with no
-  arguments (OS entropy), or a draw from numpy's global singleton
-  (``np.random.rand`` and friends);
+  arguments (OS entropy), a draw from numpy's global singleton
+  (``np.random.rand`` and friends) or any call into stdlib ``random``.
+  Calls resolve through the module's imports, so
+  ``from numpy.random import default_rng as mk; mk()`` is caught too;
 * ``rng-constant-seed`` — a generator self-seeded with a baked-in literal;
 * ``rng-unprovenanced`` — a seed expression that does not trace back to an
   injected parameter (``seed``, ``rng``, ``seed_seq``, ``*_ss``,
@@ -28,7 +30,9 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.check.findings import Finding
-from repro.analysis.check.project import ModuleInfo, Project
+from repro.analysis.check.project import (
+    ModuleInfo, Project, callee_name, param_names,
+)
 
 __all__ = ["check_provenance"]
 
@@ -38,40 +42,21 @@ _INJECTED_NAMES = frozenset(
 )
 _INJECTED_SUFFIXES = ("_seed", "_rng", "_ss", "_seed_seq")
 
-#: numpy global-singleton draws (ambient state, order-dependent).
-_GLOBAL_DRAWS = frozenset(
+#: numpy.random attributes that construct explicit generators; every other
+#: numpy.random call draws from (or reseeds) the global singleton.
+_GENERATOR_API = frozenset(
     {
-        "rand", "randn", "randint", "random", "random_sample", "choice",
-        "shuffle", "permutation", "seed", "normal", "uniform", "poisson",
-        "exponential", "binomial",
+        "default_rng", "Generator", "SeedSequence", "BitGenerator", "MT19937",
+        "PCG64", "PCG64DXSM", "Philox", "SFC64",
     }
 )
+_CONSTRUCTORS = ("default_rng", "Generator", "SeedSequence")
 
 _MAX_DEPTH = 8
 
 
 def _is_injected_name(name: str) -> bool:
     return name in _INJECTED_NAMES or name.endswith(_INJECTED_SUFFIXES)
-
-
-def _callee(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _is_np_random_attr(func: ast.expr) -> bool:
-    """Matches ``np.random.X`` / ``numpy.random.X`` attribute chains."""
-    return (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Attribute)
-        and func.value.attr == "random"
-        and isinstance(func.value.value, ast.Name)
-        and func.value.value.id in ("np", "numpy")
-    )
 
 
 def _literal_only(node: ast.expr) -> bool:
@@ -97,15 +82,7 @@ class _FunctionScope:
         self.spawn_products: Dict[str, ast.Call] = {}
         if func is None:
             return
-        args = getattr(func, "args", None)
-        if args is not None:
-            for a in (
-                list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)
-                + ([args.vararg] if args.vararg else [])
-                + ([args.kwarg] if args.kwarg else [])
-            ):
-                self.params.add(a.arg)
+        self.params = param_names(func.args)
         for stmt in ast.walk(func):
             if not isinstance(stmt, ast.Assign):
                 continue
@@ -145,7 +122,7 @@ class _FunctionScope:
             # self._churn_ss / tracker.seed / spec.seed: name-convention match
             return _is_injected_name(node.attr)
         if isinstance(node, ast.Call):
-            name = _callee(node)
+            name = callee_name(node)
             if name == "spawn" and isinstance(node.func, ast.Attribute):
                 return self.provenanced(node.func.value, depth - 1)
             if name in ("SeedSequence", "default_rng", "Generator"):
@@ -205,12 +182,7 @@ def check_provenance(project: Project) -> List[Finding]:
     findings: List[Finding] = []
 
     def emit(module: ModuleInfo, node: ast.AST, rule: str, msg: str) -> None:
-        findings.append(
-            Finding(
-                path=module.path, line=node.lineno, col=node.col_offset + 1,
-                rule=rule, message=msg,
-            )
-        )
+        findings.append(Finding.at(module.path, node, rule, msg))
 
     for module in project.modules.values():
         registry = _registry(module)
@@ -262,7 +234,7 @@ def check_provenance(project: Project) -> List[Finding]:
             for node in ast.walk(root):
                 if id(node) in nested or not isinstance(node, ast.Call):
                     continue
-                name = _callee(node)
+                name = callee_name(node)
                 if name == "spawn" and isinstance(node.func, ast.Attribute):
                     count = _spawn_count(node, registry_size)
                     targets = _unpack_arity(module.tree, node)
@@ -277,49 +249,47 @@ def check_provenance(project: Project) -> List[Finding]:
                             f"{targets} name(s) — the registry and the "
                             "unpack must agree",
                         )
-                elif name == "default_rng" or name == "Generator":
-                    if not node.args and not node.keywords:
-                        emit(
-                            module, node, "rng-ambient",
-                            f"{name}() without a seed draws OS entropy — "
-                            "seed it from the run's SeedSequence fan-out",
-                        )
-                    elif node.args:
-                        arg = node.args[0]
-                        if _literal_only(arg):
-                            emit(
-                                module, node, "rng-constant-seed",
-                                f"{name}({ast.unparse(arg)}) is self-seeded "
-                                "with a constant — inject the seed instead",
-                            )
-                        elif not scope.provenanced(arg):
-                            emit(
-                                module, node, "rng-unprovenanced",
-                                f"{name}(...) seed {ast.unparse(arg)!r} does "
-                                "not trace back to an injected seed or a "
-                                "registered SeedSequence substream",
-                            )
-                elif name == "SeedSequence":
-                    if not node.args and not node.keywords:
-                        emit(
-                            module, node, "rng-ambient",
-                            "SeedSequence() without entropy draws from the "
-                            "OS — pass the injected seed",
-                        )
-                    elif node.args and _literal_only(node.args[0]):
-                        emit(
-                            module, node, "rng-constant-seed",
-                            "SeedSequence seeded with a baked-in constant — "
-                            "inject the seed instead",
-                        )
-                elif (
-                    name in _GLOBAL_DRAWS
-                    and _is_np_random_attr(node.func)
+                    continue
+                qual = module.qualified_name(node.func) or ""
+                origin, _, attr = qual.rpartition(".")
+                if origin == "random" or (
+                    origin == "numpy.random" and attr not in _GENERATOR_API
                 ):
+                    source = (
+                        "stdlib random's" if origin == "random"
+                        else "numpy's global"
+                    )
                     emit(
                         module, node, "rng-ambient",
-                        f"np.random.{name}() uses numpy's global RNG — "
-                        "draw from an injected Generator",
+                        f"{ast.unparse(node.func)}() draws from {source} RNG "
+                        "state — draw from an injected Generator",
+                    )
+                    continue
+                which = attr if origin == "numpy.random" else name
+                if which not in _CONSTRUCTORS:
+                    continue
+                if not node.args and not node.keywords:
+                    emit(
+                        module, node, "rng-ambient",
+                        f"{which}() without a seed draws OS entropy — "
+                        "seed it from the run's SeedSequence fan-out",
+                    )
+                elif node.args and _literal_only(node.args[0]):
+                    emit(
+                        module, node, "rng-constant-seed",
+                        f"{which}({ast.unparse(node.args[0])}) is self-seeded "
+                        "with a constant — inject the seed instead",
+                    )
+                elif (
+                    node.args
+                    and which != "SeedSequence"
+                    and not scope.provenanced(node.args[0])
+                ):
+                    emit(
+                        module, node, "rng-unprovenanced",
+                        f"{which}(...) seed {ast.unparse(node.args[0])!r} "
+                        "does not trace back to an injected seed or a "
+                        "registered SeedSequence substream",
                     )
     return findings
 

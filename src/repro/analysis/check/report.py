@@ -1,10 +1,10 @@
 """Report rendering for ``repro check``: text, JSON and SARIF 2.1.0.
 
-Text is the human/terminal default (editor-clickable, one finding per
-line).  JSON is for scripting.  SARIF is the interchange format GitHub
-code scanning and most editors ingest — the CI ``check`` job uploads it as
-an artifact so findings are browsable per-run without re-running the
-analyzer.
+Text is the human/terminal default (one editor-clickable
+:meth:`Finding.format` line per finding).  JSON is for scripting.  SARIF is
+the interchange format GitHub code scanning and most editors ingest — the
+CI ``check`` job uploads it as an artifact so findings are browsable per-run
+without re-running the analyzer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.check.findings import Finding, RULES
 
-__all__ = ["format_text", "format_json", "format_sarif", "FORMATS"]
+__all__ = ["format_json", "format_sarif", "FORMATS"]
 
 FORMATS = ("text", "json", "sarif")
 
@@ -24,10 +24,6 @@ _SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
-
-
-def format_text(findings: Sequence[Finding]) -> str:
-    return "\n".join(f.format() for f in findings)
 
 
 def format_json(findings: Sequence[Finding]) -> str:

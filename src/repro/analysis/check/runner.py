@@ -6,11 +6,11 @@ Usage::
     repro check src                           # via the installed entry point
     repro check --format sarif src            # machine-readable output
     repro check --update-baseline src         # re-record the baseline
+    repro check --list-rules                  # every rule id
 
 Exit status: 0 when no non-baselined finding remains, 1 when new findings
 appear (or baselined ones disappeared without re-recording), 2 on usage or
-parse errors — the same contract as ``repro lint``, so both slot directly
-into CI.
+parse errors.
 """
 
 from __future__ import annotations
@@ -18,139 +18,28 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.check import baseline as baseline_mod
 from repro.analysis.check.coherence import check_coherence
-from repro.analysis.check.findings import Finding, RULES
-from repro.analysis.check.project import Project, _iter_python_files
-from repro.analysis.check.provenance import check_provenance
-from repro.analysis.check.report import FORMATS, format_json, format_sarif, format_text
-from repro.analysis.check.vocab import check_vocab
-from repro.lint.runner import ALL_RULES as LINT_RULES
-from repro.lint.suppress import (
+from repro.analysis.check.config import DEFAULT_BASELINE, CheckConfig
+from repro.analysis.check.contracts import check_contracts
+from repro.analysis.check.findings import (
+    RULES,
+    Finding,
     is_suppressed,
     string_literal_lines,
     suppressions,
     unknown_waiver_rules,
 )
+from repro.analysis.check.hygiene import check_hygiene
+from repro.analysis.check.project import Project, read_sources
+from repro.analysis.check.provenance import check_provenance
+from repro.analysis.check.report import FORMATS, format_json, format_sarif
+from repro.analysis.check.vocab import check_vocab
 
-__all__ = ["CheckConfig", "check_sources", "check_paths", "main"]
-
-DEFAULT_BASELINE = "CHECK_BASELINE.json"
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    """Effective configuration for one check run."""
-
-    exclude: Tuple[str, ...] = ()
-    select: Tuple[str, ...] = ()   # empty = every rule
-    ignore: Tuple[str, ...] = ()
-    baseline: str = DEFAULT_BASELINE
-    #: project root the baseline path is resolved against (pyproject parent)
-    root: Optional[Path] = field(default=None, compare=False)
-    source: str = field(default="defaults", compare=False)
-
-    def rule_enabled(self, rule: str) -> bool:
-        if rule in ("parse-error", "unknown-waiver"):
-            return True
-        if self.select and rule not in self.select:
-            return False
-        return rule not in self.ignore
-
-    def is_excluded(self, path: Path) -> bool:
-        posix = path.as_posix()
-        return any(
-            posix == pat or posix.endswith("/" + pat) for pat in self.exclude
-        )
-
-    def baseline_path(self) -> Path:
-        raw = Path(self.baseline)
-        if raw.is_absolute() or self.root is None:
-            return raw
-        return self.root / raw
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def load(cls, start: Optional[Path] = None) -> "CheckConfig":
-        """Find ``pyproject.toml`` at/above ``start``, read ``[tool.repro.check]``."""
-        root = (start or Path.cwd()).resolve()
-        if root.is_file():
-            root = root.parent
-        for candidate in (root, *root.parents):
-            pyproject = candidate / "pyproject.toml"
-            if pyproject.is_file():
-                return cls.from_pyproject(pyproject)
-        return cls()
-
-    @classmethod
-    def from_pyproject(cls, pyproject: Path) -> "CheckConfig":
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover - python < 3.11
-            return cls(root=pyproject.parent)
-        try:
-            data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-        except (OSError, tomllib.TOMLDecodeError):
-            return cls(root=pyproject.parent)
-        table = data.get("tool", {}).get("repro", {}).get("check", {})
-        if not isinstance(table, dict):
-            return cls(root=pyproject.parent)
-
-        def strings(key: str, default: Tuple[str, ...]) -> Tuple[str, ...]:
-            raw = table.get(key, table.get(key.replace("_", "-")))
-            if raw is None:
-                return default
-            if not isinstance(raw, list) or not all(
-                isinstance(x, str) for x in raw
-            ):
-                raise ValueError(
-                    f"[tool.repro.check] {key} must be a list of strings"
-                )
-            return tuple(raw)
-
-        baseline = table.get("baseline", DEFAULT_BASELINE)
-        if not isinstance(baseline, str):
-            raise ValueError("[tool.repro.check] baseline must be a string")
-        return cls(
-            exclude=strings("exclude", ()),
-            select=strings("select", ()),
-            ignore=strings("ignore", ()),
-            baseline=baseline,
-            root=pyproject.parent,
-            source=str(pyproject),
-        )
-
-
-#: every waivable rule name this command recognises in lint-ok markers —
-#: its own plus repro lint's (check owns the cross-command validation of
-#: its rule families, so no foreign prefixes are exempted here).
-_KNOWN_WAIVER_RULES: FrozenSet[str] = frozenset(RULES) | frozenset(LINT_RULES)
-
-
-def _unknown_waivers(
-    display: str,
-    waivers: Dict[int, FrozenSet[str]],
-    skip_lines,
-) -> List[Finding]:
-    return [
-        Finding(
-            path=display, line=line, col=1, rule="unknown-waiver",
-            message=(
-                f"lint-ok marker waives unknown rule {rule!r} — it "
-                "suppresses nothing; fix the name or drop it"
-            ),
-        )
-        for line, rule in unknown_waiver_rules(
-            waivers,
-            _KNOWN_WAIVER_RULES,
-            skip_lines=skip_lines,
-            foreign_prefixes=(),
-        )
-    ]
+__all__ = ["check_sources", "check_paths", "main"]
 
 
 def check_sources(
@@ -159,9 +48,9 @@ def check_sources(
 ) -> List[Finding]:
     """Analyze in-memory sources: ``(display_path, scope_path, source)`` each.
 
-    Runs all three whole-program passes over one shared :class:`Project`,
-    applies ``# repro: lint-ok[rule]`` waivers and the select/ignore
-    filters, and returns sorted findings (baseline is the caller's concern).
+    Runs every pass over one shared :class:`Project`, applies
+    ``# repro: lint-ok[rule]`` waivers and the select/ignore filters, and
+    returns sorted findings (the baseline is the caller's concern).
     """
     config = config or CheckConfig()
     project = Project.from_sources(sources)
@@ -175,6 +64,8 @@ def check_sources(
     findings.extend(check_coherence(project))
     findings.extend(check_provenance(project))
     findings.extend(check_vocab(project))
+    findings.extend(check_hygiene(project, config))
+    findings.extend(check_contracts(project))
 
     trees = {m.path: m.tree for m in project.modules.values()}
     waivers: Dict[str, Dict[int, FrozenSet[str]]] = {}
@@ -182,7 +73,18 @@ def check_sources(
         waivers[display] = suppressions(source)
         tree = trees.get(display)
         skip = string_literal_lines(tree) if tree is not None else set()
-        findings.extend(_unknown_waivers(display, waivers[display], skip))
+        findings.extend(
+            Finding(
+                path=display, line=line, col=1, rule="unknown-waiver",
+                message=(
+                    f"lint-ok marker waives unknown rule {rule!r} — it "
+                    "suppresses nothing; fix the name or drop it"
+                ),
+            )
+            for line, rule in unknown_waiver_rules(
+                waivers[display], RULES, skip_lines=skip
+            )
+        )
 
     kept = [
         f
@@ -196,21 +98,14 @@ def check_sources(
 def check_paths(
     paths: Sequence[Path], config: Optional[CheckConfig] = None
 ) -> List[Finding]:
-    """Analyze every ``*.py`` file under ``paths``."""
+    """Analyze every ``*.py`` file under ``paths``.
+
+    Without a ``config``, the ``[tool.repro.check]`` table of the
+    ``pyproject.toml`` at or above the first path is used.
+    """
     if config is None:
         config = CheckConfig.load(paths[0] if paths else None)
-    sources: List[Tuple[str, Path, str]] = []
-    for root in paths:
-        root = Path(root)
-        if not root.exists():
-            raise FileNotFoundError(f"no such path: {root}")
-        base = root if root.is_dir() else root.parent
-        for path in _iter_python_files(root):
-            if config.is_excluded(path.resolve()):
-                continue
-            rel = path.relative_to(base)
-            sources.append((str(path), rel, path.read_text(encoding="utf-8")))
-    return check_sources(sources, config)
+    return check_sources(read_sources(paths, config), config)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -4,12 +4,14 @@ The repo keeps several string vocabularies closed so traces aggregate and
 counters never silently fork: decline/failure/node-down reasons
 (``*_REASONS`` tuples in ``repro.trace.events``), write-ahead journal kinds
 (``JOURNAL_KINDS`` in ``repro.engine.journal``) and the class-level ``type``
-tags of the trace-event hierarchy.  Unlike the per-module ``unknown-reason``
-lint rule this pass is whole-program and runs the *reverse* direction too:
+tags of the trace-event hierarchy.  The pass is whole-program and checks
+both directions:
 
 * ``vocab-unknown`` — a string literal consumed at a known vocabulary
-  use-site (``note_decline``, ``journal_write``, ``JournalEntry(kind=...)``,
-  ``.type ==``/``.kind ==`` comparisons, ...) that is not a declared member;
+  use-site (``note_decline``, ``offer_declined``, the ``Decline`` /
+  ``AttemptFailed`` / ``JobFail`` / ``NodeDown`` events, a single-argument
+  ``job.fail("...")``, ``journal_write``, ``JournalEntry(kind=...)``,
+  ``.type ==``/``.kind ==`` comparisons) that is not a declared member;
 * ``vocab-unused`` — a declared member that nothing in the project ever
   uses: its constant name is never loaded outside its definition, its
   string value never appears at any use-site or literal, and (for event
@@ -17,7 +19,10 @@ lint rule this pass is whole-program and runs the *reverse* direction too:
   are how stale reasons accumulate and skew per-reason statistics.
 
 Vocabularies are discovered from the analyzed source, never imported — the
-pass works identically on the live tree and on the defect fixtures.
+pass works identically on the live tree and on the defect fixtures.  So a
+literal is only checked against a vocabulary defined in the analyzed files:
+``repro check src`` checks every reason, ``repro check src/repro/engine``
+only those whose vocabulary lives under ``engine``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.check.findings import Finding
-from repro.analysis.check.project import ModuleInfo, Project
+from repro.analysis.check.project import ModuleInfo, Project, callee_name
 
 __all__ = ["check_vocab"]
 
@@ -45,6 +50,8 @@ _CALL_SITES = {
     "AttemptFailed": (None, "reason", "FAILURE_REASONS"),
     "JobFail": (None, "reason", "FAILURE_REASONS"),
     "NodeDown": (None, "reason", "NODE_DOWN_REASONS"),
+    # job.fail("reason") — only the single-argument form takes a reason
+    "fail": (0, "reason", "FAILURE_REASONS"),
     "journal_write": (0, "kind", "JOURNAL_KINDS"),
     "JournalEntry": (1, "kind", "JOURNAL_KINDS"),
 }
@@ -134,14 +141,12 @@ def _collect_vocabularies(project: Project) -> Dict[str, _Vocabulary]:
                     lines.add(line)
     # the trace-event type-tag hierarchy: subclasses of a TraceEvent root
     event_vocab = _Vocabulary(_EVENT_VOCAB)
+    # the root's "event" tag is a placeholder, not a member
+    event_classes = project.descendants("TraceEvent") - {"TraceEvent"}
     for name, infos in project.classes.items():
+        if name not in event_classes:
+            continue
         for info in infos:
-            if name != "TraceEvent" and not _descends_from(
-                project, name, "TraceEvent"
-            ):
-                continue
-            if name == "TraceEvent":
-                continue  # the root's "event" tag is a placeholder
             tag = info.class_literals.get("type")
             if tag is None or not isinstance(tag[0], str):
                 continue
@@ -158,30 +163,6 @@ def _collect_vocabularies(project: Project) -> Dict[str, _Vocabulary]:
     return vocabs
 
 
-def _descends_from(project: Project, name: str, root: str) -> bool:
-    seen: Set[str] = set()
-    stack = [name]
-    while stack:
-        current = stack.pop()
-        if current == root:
-            return True
-        if current in seen:
-            continue
-        seen.add(current)
-        for info in project.classes.get(current, []):
-            stack.extend(info.bases)
-    return False
-
-
-def _callee(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _literal(node: Optional[ast.expr]) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -193,12 +174,7 @@ def check_vocab(project: Project) -> List[Finding]:
     findings: List[Finding] = []
 
     def emit(module: ModuleInfo, node: ast.AST, rule: str, msg: str) -> None:
-        findings.append(
-            Finding(
-                path=module.path, line=node.lineno, col=node.col_offset + 1,
-                rule=rule, message=msg,
-            )
-        )
+        findings.append(Finding.at(module.path, node, rule, msg))
 
     def mark_used(vocab: _Vocabulary, value: str) -> None:
         member = vocab.members.get(value)
@@ -211,9 +187,9 @@ def check_vocab(project: Project) -> List[Finding]:
     for module in project.modules.values():
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                name = _callee(node)
+                name = callee_name(node)
                 site = _CALL_SITES.get(name) if name else None
-                if site is not None:
+                if site is not None and (name != "fail" or len(node.args) == 1):
                     pos, kw, vocab_name = site
                     arg: Optional[ast.expr] = None
                     for keyword in node.keywords:

@@ -1,10 +1,12 @@
-"""Tests for the ``repro.analysis.check`` whole-program analyzer.
+"""Tests for the ``repro.analysis.check`` static analyzer.
 
-Mirrors ``test_lint.py``'s structure: each pass gets seeded-defect fixtures
-(the rule fires on the hazard it documents, with a stable rule id) and
-clean counterparts, plus baseline-ratchet, report-format and CLI coverage.
-Fixtures go through the in-memory ``check_sources`` entry point as
-``(display_path, scope_path, source)`` triples.
+Each whole-program pass gets seeded-defect fixtures (the rule fires on the
+hazard it documents, with a stable rule id) and clean counterparts, plus
+baseline-ratchet, report-format and CLI coverage; every seeded defect of
+any pass gives exactly one finding.  The per-module rules are covered rule
+by rule in ``test_lint.py``.  Fixtures go through the in-memory
+``check_sources`` entry point as ``(display_path, scope_path, source)``
+triples.
 """
 
 from __future__ import annotations
@@ -99,7 +101,117 @@ UNUSED_REASON = (
 )
 
 
+ENGINE = Path("repro/engine/mod.py")
+
+#: a reason vocabulary whose every member is used, so a fixture next to it
+#: is the only possible source of findings.
+REASON_VOCAB = (
+    "repro/trace/events.py",
+    Path("repro/trace/events.py"),
+    'DECLINE_REASONS = ("below_pmin",)\n'
+    'FAILURE_REASONS = ("attempts_exhausted",)\n'
+    "\n"
+    "def use(ctx, job):\n"
+    '    ctx.note_decline("below_pmin")\n'
+    '    job.fail("attempts_exhausted")\n',
+)
+
+SCHEDULER = (
+    "class Mine(TaskScheduler):\n"
+    '    name = "mine"\n'
+    "\n"
+    "    def select_map(self, node, job, ctx):\n"
+    "        return None\n"
+    "\n"
+    "    def select_reduce(self, node, job, ctx):\n"
+    "        return None\n"
+)
+
+
+def _engine(source):
+    return [("mod.py", ENGINE, source)]
+
+
+def _reasons(source):
+    return [REASON_VOCAB, ("mod.py", ENGINE, source)]
+
+
+def _scheduler(source, exported=("Mine",)):
+    return [
+        (
+            "schedulers/__init__.py",
+            Path("repro/schedulers/__init__.py"),
+            f"__all__ = {list(exported)!r}\n",
+        ),
+        ("schedulers/mine.py", Path("repro/schedulers/mine.py"), source),
+    ]
+
+
+#: defect id -> (sources, the one rule it must raise)
+SEEDED = {
+    # each of these four used to raise one finding under each of two ids
+    "unseeded-default-rng": (
+        _engine("import numpy as np\nrng = np.random.default_rng()\n"),
+        "rng-ambient",
+    ),
+    "constant-seed": (
+        _engine("import numpy as np\nrng = np.random.default_rng(0)\n"),
+        "rng-constant-seed",
+    ),
+    "numpy-global-draw": (
+        _engine("import numpy as np\nx = np.random.rand()\n"),
+        "rng-ambient",
+    ),
+    "unknown-decline-reason": (
+        _reasons('def f(ctx):\n    ctx.note_decline("not_a_reason")\n'),
+        "vocab-unknown",
+    ),
+    # ... and each of these three used to be missed by one of the two
+    "unknown-fail-reason": (
+        _reasons('def f(job):\n    job.fail("bogus")\n'),
+        "vocab-unknown",
+    ),
+    "aliased-default-rng": (
+        _engine("from numpy.random import default_rng as mk\nrng = mk()\n"),
+        "rng-ambient",
+    ),
+    "stdlib-random": (
+        _engine("import random\nx = random.random()\n"),
+        "rng-ambient",
+    ),
+    "wallclock": (_engine("import time\nt = time.time()\n"), "wallclock"),
+    "magic-unit": (_engine("def f(x):\n    return x * 1e9\n"), "magic-unit"),
+    "library-print": (_engine("def f(x):\n    print(x)\n"), "no-print"),
+    "missing-hook": (
+        _scheduler(SCHEDULER.split("\n    def select_reduce")[0] + "\n"),
+        "scheduler-hooks",
+    ),
+    "missing-name": (
+        _scheduler(SCHEDULER.replace('    name = "mine"\n', "")),
+        "scheduler-name",
+    ),
+    "missing-export": (_scheduler(SCHEDULER, exported=()), "scheduler-export"),
+    "ctx-mutation": (
+        _scheduler(SCHEDULER.replace(
+            "    def select_reduce(self, node, job, ctx):\n",
+            "    def select_reduce(self, node, job, ctx):\n"
+            "        ctx.tracker = None\n",
+        )),
+        "ctx-mutation",
+    ),
+}
+
+
 class TestSeededDefects:
+    @pytest.mark.parametrize("defect", list(SEEDED))
+    def test_seeded_defect_exactly_one_finding(self, defect):
+        sources, rule = SEEDED[defect]
+        assert [f.rule for f in check_sources(sources)] == [rule]
+
+    def test_fixtures_are_clean_without_their_defect(self):
+        assert check_sources([REASON_VOCAB]) == []
+        assert check_sources(_scheduler(SCHEDULER)) == []
+
     def test_missed_epoch_bump_exactly_one_finding(self):
         fs = run_check(MISSED_BUMP)
         assert [f.rule for f in fs] == ["cache-missing-bump"]
@@ -522,6 +634,12 @@ class TestVocab:
         )
         assert run_check(src) == []
 
+    def test_literal_without_analyzed_vocabulary_is_not_checked(self):
+        # vocabularies come from the analyzed files: a subtree that does
+        # not define DECLINE_REASONS has nothing to check the literal against
+        src = 'def f(ctx):\n    ctx.note_decline("not_a_reason")\n'
+        assert run_check(src) == []
+
     def test_live_vocabularies_discovered(self):
         from repro.analysis.check.project import Project
         from repro.analysis.check.vocab import _collect_vocabularies
@@ -668,6 +786,10 @@ class TestWholeTree:
     def test_src_tree_is_clean(self):
         assert check_paths([SRC]) == []
 
+    def test_code_defaults_equal_the_committed_config(self):
+        # a Python without tomllib runs on the code defaults alone
+        assert check_paths([SRC], CheckConfig()) == check_paths([SRC]) == []
+
     def test_committed_baseline_is_current(self):
         recorded = load_baseline(REPO / "CHECK_BASELINE.json")
         new, stale = apply_baseline(check_paths([SRC]), recorded)
@@ -696,6 +818,12 @@ class TestWholeTree:
         out = capsys.readouterr().out
         for rule in RULES:
             assert rule in out
+
+    def test_cli_lists_exactly_the_rule_ids(self, capsys):
+        assert check_main(["--list-rules"]) == 0
+        ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert ids == sorted(RULES)
+        assert len(ids) == 19
 
     def test_cli_baseline_ratchet_cycle(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text(

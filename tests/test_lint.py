@@ -1,15 +1,20 @@
-"""Tests for the ``repro.lint`` static-analysis suite.
+"""Tests for the per-module rules of ``repro check``.
 
-Every rule gets at least one positive fixture (the rule fires on the
-hazard it documents) and one negative fixture (the idiomatic replacement
-passes), plus suppression, configuration and CLI coverage.  The in-memory
-``lint_sources`` entry point keeps the fixtures self-contained: each is a
+Determinism (``rng-ambient``, ``rng-constant-seed``, ``wallclock``), unit
+hygiene (``magic-unit``), output hygiene (``no-print``), the scheduler
+contract (``scheduler-*``, ``ctx-mutation``) and the closed reason
+vocabularies (``vocab-unknown``), plus the ``lint-ok`` waiver parser,
+configuration and CLI coverage.  Every rule gets at least one positive
+fixture (the rule fires on the hazard it documents) and one negative
+fixture (the idiomatic replacement passes).  The in-memory
+``check_sources`` entry point keeps the fixtures self-contained: each is a
 ``(display_path, scope_path, source)`` triple, where the scope path decides
 whether the file counts as simulation-critical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,49 +25,54 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lint import (
-    ALL_RULES,
-    LintConfig,
-    Violation,
-    lint_paths,
-    lint_sources,
+from repro.analysis.check import (
+    RULES,
+    CheckConfig,
+    Finding,
+    check_paths,
+    check_sources,
 )
-from repro.lint.config import DEFAULT_DETERMINISTIC_DIRS
-from repro.lint.runner import main as lint_main
-from repro.lint.suppress import suppressions, unknown_waiver_rules
+from repro.analysis.check.config import DEFAULT_DETERMINISTIC_DIRS
+from repro.analysis.check.findings import suppressions, unknown_waiver_rules
+from repro.analysis.check.runner import main as check_main
+from repro.trace import events
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
-#: scope inside a deterministic sub-package — determinism rules apply.
+#: scope inside a deterministic sub-package — the wallclock rule applies.
 ENGINE = Path("repro/engine/mod.py")
-#: scope outside the deterministic sub-packages — they do not.
+#: scope outside the deterministic sub-packages — it does not.
 DRIVER = Path("repro/analysis/mod.py")
 
 
 def run_lint(source, scope=ENGINE, config=None):
-    return lint_sources([("mod.py", scope, source)], config)
+    return check_sources([("mod.py", scope, source)], config)
 
 
-def rules(violations):
-    return sorted({v.rule for v in violations})
+def rules(findings):
+    return sorted({f.rule for f in findings})
 
 
 # ----------------------------------------------------------------------
-# global-rng
+# rng-ambient: global random state
 # ----------------------------------------------------------------------
 class TestGlobalRng:
     def test_stdlib_random_flagged(self):
         src = "import random\nx = random.random()\n"
-        assert rules(run_lint(src)) == ["global-rng"]
+        assert rules(run_lint(src)) == ["rng-ambient"]
 
     def test_numpy_global_state_flagged(self):
         src = "import numpy as np\nnp.random.seed(42)\ny = np.random.rand(3)\n"
-        assert [v.rule for v in run_lint(src)] == ["global-rng", "global-rng"]
+        assert [f.rule for f in run_lint(src)] == ["rng-ambient", "rng-ambient"]
 
     def test_from_import_alias_flagged(self):
         src = "from numpy.random import shuffle as sh\nsh([1, 2])\n"
-        assert rules(run_lint(src)) == ["global-rng"]
+        assert rules(run_lint(src)) == ["rng-ambient"]
+
+    def test_numpy_random_module_alias_flagged(self):
+        src = "from numpy import random as npr\nx = npr.normal()\n"
+        assert rules(run_lint(src)) == ["rng-ambient"]
 
     def test_injected_generator_ok(self):
         src = (
@@ -72,9 +82,9 @@ class TestGlobalRng:
         )
         assert run_lint(src) == []
 
-    def test_outside_deterministic_scope_ok(self):
+    def test_flagged_outside_deterministic_scope_too(self):
         src = "import random\nx = random.random()\n"
-        assert run_lint(src, scope=DRIVER) == []
+        assert rules(run_lint(src, scope=DRIVER)) == ["rng-ambient"]
 
 
 # ----------------------------------------------------------------------
@@ -103,20 +113,24 @@ class TestWallclock:
 
 
 # ----------------------------------------------------------------------
-# unseeded-rng / hidden-seed
+# rng-ambient / rng-constant-seed: generator construction
 # ----------------------------------------------------------------------
 class TestRngConstruction:
     def test_unseeded_default_rng_flagged_even_outside_scope(self):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
-        assert rules(run_lint(src, scope=DRIVER)) == ["unseeded-rng"]
+        assert rules(run_lint(src, scope=DRIVER)) == ["rng-ambient"]
+
+    def test_aliased_unseeded_default_rng_flagged(self):
+        src = "from numpy.random import default_rng as mk\nrng = mk()\n"
+        assert rules(run_lint(src)) == ["rng-ambient"]
 
     def test_constant_seed_flagged_in_library_code(self):
         src = "import numpy as np\nrng = np.random.default_rng(0)\n"
-        assert rules(run_lint(src)) == ["hidden-seed"]
+        assert rules(run_lint(src)) == ["rng-constant-seed"]
 
     def test_constant_seed_seedsequence_flagged(self):
         src = "from numpy.random import SeedSequence\nss = SeedSequence(7)\n"
-        assert rules(run_lint(src)) == ["hidden-seed"]
+        assert rules(run_lint(src)) == ["rng-constant-seed"]
 
     def test_injected_seed_ok(self):
         src = (
@@ -126,9 +140,9 @@ class TestRngConstruction:
         )
         assert run_lint(src) == []
 
-    def test_constant_seed_ok_outside_library_scope(self):
+    def test_constant_seed_flagged_outside_library_scope_too(self):
         src = "import numpy as np\nrng = np.random.default_rng(0)\n"
-        assert run_lint(src, scope=DRIVER) == []
+        assert rules(run_lint(src, scope=DRIVER)) == ["rng-constant-seed"]
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +157,7 @@ class TestMagicUnit:
 
     def test_power_and_shift_forms_flagged(self):
         vs = run_lint("a = 2 ** 30\nb = 1 << 20\nc = 1024 ** 3\n")
-        assert [v.rule for v in vs] == ["magic-unit"] * 3
+        assert [f.rule for f in vs] == ["magic-unit"] * 3
 
     def test_applies_outside_deterministic_scope_too(self):
         assert rules(run_lint("x = 4 * 1e6\n", scope=DRIVER)) == ["magic-unit"]
@@ -176,7 +190,7 @@ GOOD_SCHEDULER = (
 
 def run_contract(sched_source, exported=()):
     init_src = "__all__ = [" + ", ".join(repr(e) for e in exported) + "]\n"
-    return lint_sources(
+    return check_sources(
         [
             ("schedulers/__init__.py", INIT_SCOPE, init_src),
             ("schedulers/mine.py", SCHED_SCOPE, sched_source),
@@ -191,7 +205,7 @@ class TestSchedulerContracts:
     def test_missing_hooks_flagged(self):
         src = 'class MyScheduler(TaskScheduler):\n    name = "mine"\n'
         vs = run_contract(src, exported=("MyScheduler",))
-        assert [v.rule for v in vs] == ["scheduler-hooks", "scheduler-hooks"]
+        assert [f.rule for f in vs] == ["scheduler-hooks", "scheduler-hooks"]
         assert "select_map" in vs[0].message
         assert "select_reduce" in vs[1].message
 
@@ -284,7 +298,7 @@ class TestNoPrint:
         assert run_lint(src, scope=cli) == []
 
     def test_exclusion_is_configurable(self):
-        config = LintConfig(no_print_exclude=("repro/analysis/mod.py",))
+        config = CheckConfig(no_print_exclude=("repro/analysis/mod.py",))
         assert run_lint('print("x")\n', scope=DRIVER, config=config) == []
         assert rules(run_lint('print("x")\n', config=config)) == ["no-print"]
 
@@ -301,17 +315,39 @@ class TestNoPrint:
 
     def test_pyproject_key_parsed(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\n"
+            "[tool.repro.check]\n"
             'no-print-exclude = ["repro/tools/dump.py"]\n',
             encoding="utf-8",
         )
-        config = LintConfig.load(tmp_path)
+        config = CheckConfig.load(tmp_path)
         assert config.no_print_exclude == ("repro/tools/dump.py",)
 
 
 # ----------------------------------------------------------------------
-# unknown-reason (closed decline/failure vocabularies)
+# vocab-unknown: closed decline/failure vocabularies
 # ----------------------------------------------------------------------
+#: the live reason vocabularies, defined as the analyzed tree defines them
+#: (the analyzer discovers vocabularies from source, never by import).
+REASONS = "".join(
+    f"{name} = {getattr(events, name)!r}\n"
+    for name in ("DECLINE_REASONS", "FAILURE_REASONS", "NODE_DOWN_REASONS")
+)
+
+
+def run_reasons(source, scope=ENGINE, config=None):
+    """Analyze ``source`` next to the vocabularies; drop the unused-member
+    findings a fixture that uses only a few members would otherwise raise."""
+    config = config or CheckConfig()
+    config = dataclasses.replace(config, ignore=config.ignore + ("vocab-unused",))
+    return check_sources(
+        [
+            ("events.py", Path("repro/trace/events.py"), REASONS),
+            ("mod.py", scope, source),
+        ],
+        config,
+    )
+
+
 class TestUnknownReason:
     def test_vocabulary_literals_pass(self):
         src = (
@@ -322,16 +358,16 @@ class TestUnknownReason:
             'NodeDown(t=0.0, node="n", reason="expired", killed_attempts=0, '
             "lost_maps=0)\n"
         )
-        assert run_lint(src) == []
+        assert run_reasons(src) == []
 
     def test_typo_in_decline_reason_flagged(self):
-        vs = run_lint('ctx.note_decline("below_pmim")\n')
-        assert rules(vs) == ["unknown-reason"]
+        vs = run_reasons('ctx.note_decline("below_pmim")\n')
+        assert rules(vs) == ["vocab-unknown"]
         assert "DECLINE_REASONS" in vs[0].message
 
     def test_offer_declined_positional_reason_checked(self):
-        vs = run_lint('collector.offer_declined("map", "blacklistd")\n')
-        assert rules(vs) == ["unknown-reason"]
+        vs = run_reasons('collector.offer_declined("map", "blacklistd")\n')
+        assert rules(vs) == ["vocab-unknown"]
 
     def test_event_keyword_reasons_checked(self):
         src = (
@@ -341,30 +377,30 @@ class TestUnknownReason:
             'NodeDown(t=0.0, node="n", reason="vanished", killed_attempts=0, '
             "lost_maps=0)\n"
         )
-        vs = run_lint(src)
-        assert [v.rule for v in vs] == ["unknown-reason"] * 3
+        vs = run_reasons(src)
+        assert [f.rule for f in vs] == ["vocab-unknown"] * 3
 
     def test_job_fail_string_literal_checked(self):
-        vs = run_lint('job.fail("out_of_retries")\n')
-        assert rules(vs) == ["unknown-reason"]
+        vs = run_reasons('job.fail("out_of_retries")\n')
+        assert rules(vs) == ["vocab-unknown"]
         # fail() with a non-string (or no) argument is someone else's fail()
-        assert run_lint("attempt.fail()\n") == []
-        assert run_lint("thing.fail(5)\n") == []
+        assert run_reasons("attempt.fail()\n") == []
+        assert run_reasons("thing.fail(5)\n") == []
 
     def test_dynamic_reasons_out_of_scope(self):
-        assert run_lint("ctx.note_decline(reason_var)\n") == []
-        assert run_lint("ctx.note_decline(BELOW_PMIN)\n") == []
+        assert run_reasons("ctx.note_decline(reason_var)\n") == []
+        assert run_reasons("ctx.note_decline(BELOW_PMIN)\n") == []
 
     def test_applies_outside_deterministic_scope(self):
         # the vocabulary is global: drivers and exporters must honour it too
-        vs = run_lint('ctx.note_decline("nonsense")\n', scope=DRIVER)
-        assert rules(vs) == ["unknown-reason"]
+        vs = run_reasons('ctx.note_decline("nonsense")\n', scope=DRIVER)
+        assert rules(vs) == ["vocab-unknown"]
 
     def test_waiver_and_ignore(self):
-        waived = 'ctx.note_decline("custom")  # repro: lint-ok[unknown-reason]\n'
-        assert run_lint(waived) == []
-        config = LintConfig(ignore=("unknown-reason",))
-        assert run_lint('ctx.note_decline("custom")\n', config=config) == []
+        waived = 'ctx.note_decline("custom")  # repro: lint-ok[vocab-unknown]\n'
+        assert run_reasons(waived) == []
+        config = CheckConfig(ignore=("vocab-unknown",))
+        assert run_reasons('ctx.note_decline("custom")\n', config=config) == []
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +423,7 @@ class TestSuppression:
 # ----------------------------------------------------------------------
 # the suppression parser, property-tested
 # ----------------------------------------------------------------------
-RULE_NAME = st.sampled_from(sorted(ALL_RULES))
+RULE_NAME = st.sampled_from(sorted(RULES))
 WS = st.text(alphabet=" \t", max_size=3)
 
 
@@ -438,20 +474,20 @@ class TestSuppressionParser:
            unknown=st.text(
                alphabet="abcdefghijklmnopqrstuvwxyz-",
                min_size=1, max_size=12,
-           ).filter(lambda s: s not in ALL_RULES
-                    and s != "parse-error"
-                    and not s.startswith(("cache-", "rng-", "vocab-"))))
+           ).filter(lambda s: s not in RULES))
     def test_unknown_rule_is_reported_known_are_not(self, known, unknown):
         waived = {1: frozenset(known + [unknown])}
-        flagged = unknown_waiver_rules(waived, set(ALL_RULES) | {"parse-error"})
+        flagged = unknown_waiver_rules(waived, RULES)
         assert flagged == [(1, unknown)]
 
     @given(prefix=st.sampled_from(["cache-", "rng-", "vocab-"]),
            tail=st.text(alphabet="abcdefghijklmnopqrstuvwxyz",
                         min_size=1, max_size=8))
-    def test_sibling_command_prefixes_left_alone(self, prefix, tail):
-        waived = {1: frozenset([prefix + tail])}
-        assert unknown_waiver_rules(waived, set(ALL_RULES)) == []
+    def test_unknown_ids_in_every_rule_family_reported(self, prefix, tail):
+        rule = prefix + tail
+        waived = {1: frozenset([rule])}
+        expected = [] if rule in RULES else [(1, rule)]
+        assert unknown_waiver_rules(waived, RULES) == expected
 
     def test_unknown_rule_warning_via_lint(self):
         vs = run_lint("x = 1  # repro: lint-ok[magic-unti]\n")
@@ -469,12 +505,12 @@ class TestSuppressionParser:
 
 def test_syntax_error_reported_as_parse_error():
     vs = run_lint("def broken(:\n")
-    assert [v.rule for v in vs] == ["parse-error"]
+    assert [f.rule for f in vs] == ["parse-error"]
 
 
 def test_violation_format_and_ordering():
-    a = Violation(path="a.py", line=3, col=7, rule="magic-unit", message="m")
-    b = Violation(path="a.py", line=9, col=1, rule="wallclock", message="w")
+    a = Finding(path="a.py", line=3, col=7, rule="magic-unit", message="m")
+    b = Finding(path="a.py", line=9, col=1, rule="wallclock", message="w")
     assert a.format() == "a.py:3:7: [magic-unit] m"
     assert sorted([b, a]) == [a, b]
 
@@ -484,34 +520,34 @@ def test_violation_format_and_ordering():
 # ----------------------------------------------------------------------
 class TestConfig:
     def test_select_restricts_rules(self):
-        config = LintConfig(select=("magic-unit",))
+        config = CheckConfig(select=("magic-unit",))
         src = "import time\nt = time.time()\nx = b / 1e9\n"
         assert rules(run_lint(src, config=config)) == ["magic-unit"]
 
     def test_ignore_drops_rule(self):
-        config = LintConfig(ignore=("magic-unit",))
+        config = CheckConfig(ignore=("magic-unit",))
         assert run_lint("x = b / 1e9\n", config=config) == []
 
     def test_deterministic_dirs_configurable(self):
-        config = LintConfig(deterministic_dirs=("analysis",))
+        config = CheckConfig(deterministic_dirs=("analysis",))
         src = "import time\nt = time.time()\n"
         assert rules(run_lint(src, scope=DRIVER, config=config)) == ["wallclock"]
         assert run_lint(src, scope=ENGINE, config=config) == []
 
     def test_pyproject_table_parsed(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\n"
+            "[tool.repro.check]\n"
             'deterministic-dirs = ["engine"]\n'
             'ignore = ["magic-unit"]\n',
             encoding="utf-8",
         )
-        config = LintConfig.load(tmp_path)
+        config = CheckConfig.load(tmp_path)
         assert config.deterministic_dirs == ("engine",)
         assert config.ignore == ("magic-unit",)
         assert config.source == str(tmp_path / "pyproject.toml")
 
     def test_repo_pyproject_defines_the_table(self):
-        config = LintConfig.load(SRC)
+        config = CheckConfig.load(SRC)
         assert config.source.endswith("pyproject.toml")
         assert config.deterministic_dirs == DEFAULT_DETERMINISTIC_DIRS
         assert config.root == REPO
@@ -525,7 +561,7 @@ class TestConfigPathSymmetry:
     @pytest.fixture
     def project(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\n"
+            "[tool.repro.check]\n"
             'deterministic-dirs = ["engine"]\n'
             'exclude = ["pkg/engine/generated.py"]\n',
             encoding="utf-8",
@@ -541,41 +577,39 @@ class TestConfigPathSymmetry:
         return tmp_path
 
     def test_deterministic_scope_same_from_any_invocation_dir(self, project):
-        config = LintConfig.load(project)
-        from_root = lint_paths([project / "pkg"], config)
-        from_subdir = lint_paths([project / "pkg" / "engine"], config)
-        from_file = lint_paths([project / "pkg" / "engine" / "clock.py"], config)
+        config = CheckConfig.load(project)
+        from_root = check_paths([project / "pkg"], config)
+        from_subdir = check_paths([project / "pkg" / "engine"], config)
+        from_file = check_paths([project / "pkg" / "engine" / "clock.py"], config)
         assert rules(from_root) == ["wallclock"]
         assert rules(from_subdir) == ["wallclock"]
         assert rules(from_file) == ["wallclock"]
 
     def test_root_relative_exclude_same_from_any_invocation_dir(self, project):
-        config = LintConfig.load(project)
+        config = CheckConfig.load(project)
         for target in (
             project / "pkg",
             project / "pkg" / "engine",
             project / "pkg" / "engine" / "generated.py",
         ):
             assert not any(
-                "generated.py" in v.path for v in lint_paths([target], config)
+                "generated.py" in f.path for f in check_paths([target], config)
             )
 
     def test_absolute_exclude_pattern_matches(self, project):
-        config = LintConfig.load(project)
-        import dataclasses
-
+        config = CheckConfig.load(project)
         config = dataclasses.replace(
             config,
             exclude=(str(project / "pkg" / "engine" / "generated.py"),),
         )
         assert not any(
-            "generated.py" in v.path
-            for v in lint_paths([project / "pkg"], config)
+            "generated.py" in f.path
+            for f in check_paths([project / "pkg"], config)
         )
 
     def test_scope_falls_back_outside_the_root(self, tmp_path):
         # a file outside the configured root keeps invocation-relative scope
-        config = LintConfig(
+        config = CheckConfig(
             deterministic_dirs=("engine",), root=tmp_path / "elsewhere"
         )
         scoped = config.scope_path(
@@ -590,10 +624,11 @@ class TestConfigPathSymmetry:
 # ----------------------------------------------------------------------
 class TestWholeTree:
     def test_src_tree_is_clean(self):
-        assert lint_paths([SRC]) == []
+        # code defaults alone: a host without tomllib reads no pyproject
+        assert check_paths([SRC], CheckConfig()) == []
 
     def test_cli_exit_zero_on_clean_tree(self, capsys):
-        assert lint_main([str(SRC)]) == 0
+        assert check_main([str(SRC)]) == 0
 
     def test_cli_exit_one_on_violation(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "engine"
@@ -601,24 +636,24 @@ class TestWholeTree:
         (bad / "mod.py").write_text(
             "import time\nt = time.time()\n", encoding="utf-8"
         )
-        assert lint_main([str(tmp_path)]) == 1
+        assert check_main(["--no-baseline", str(tmp_path)]) == 1
         assert "wallclock" in capsys.readouterr().out
 
     def test_cli_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert check_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ALL_RULES:
+        for rule in RULES:
             assert rule in out
 
     def test_cli_rejects_unknown_rule(self, capsys):
-        assert lint_main(["--select", "bogus", str(SRC)]) == 2
+        assert check_main(["--select", "bogus", str(SRC)]) == 2
 
     def test_cli_missing_path(self, capsys):
-        assert lint_main([str(SRC / "no-such-dir")]) == 2
+        assert check_main([str(SRC / "no-such-dir")]) == 2
 
     def test_cli_exit_two_on_parse_error(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("def broken(:\n", encoding="utf-8")
-        assert lint_main([str(tmp_path)]) == 2
+        assert check_main(["--no-baseline", str(tmp_path)]) == 2
         assert "parse-error" in capsys.readouterr().out
 
     def test_cli_json_format(self, tmp_path, capsys):
@@ -627,23 +662,25 @@ class TestWholeTree:
         (bad / "mod.py").write_text(
             "import time\nt = time.time()\n", encoding="utf-8"
         )
-        assert lint_main(["--format", "json", str(tmp_path)]) == 1
+        argv = ["--no-baseline", "--format", "json", str(tmp_path)]
+        assert check_main(argv) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["tool"] == "repro-lint"
+        assert doc["tool"] == "repro-check"
         assert doc["summary"]["total"] == 1
         assert doc["summary"]["by_rule"] == {"wallclock": 1}
-        assert doc["violations"][0]["rule"] == "wallclock"
+        assert doc["findings"][0]["rule"] == "wallclock"
 
     def test_cli_json_format_clean_tree(self, capsys):
-        assert lint_main(["--format", "json", str(SRC)]) == 0
+        assert check_main(["--format", "json", str(SRC)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["violations"] == []
+        assert doc["findings"] == []
 
     def test_python_dash_m_entry_point(self):
+        # the CI step every matrix Python runs
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(SRC)],
+            [sys.executable, "-m", "repro.cli", "check", str(SRC)],
             capture_output=True,
             text=True,
             env=env,
