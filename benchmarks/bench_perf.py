@@ -3,10 +3,11 @@
 Runs the quick benchmark cases (16-node cluster: PNA hop / PNA netcond /
 Fair / Coupling, plus netcond under churn) through the same
 :mod:`repro.experiments.perf` harness the `repro bench` CLI uses, and
-re-runs the network-condition case with ``REPRO_NO_CACHE=1`` to report the
-cached-vs-naive factor.  The committed ``BENCH_perf.json`` (full mode,
-100/200-node cases) is the tracked artifact; this bench is the in-tree
-view of the same numbers at CI scale.
+re-runs the network-condition case with the ``REPRO_NO_CACHE`` switch on
+(``set_reference_paths(True)``: every ``@cached_on`` cache runs its
+declared reference) to report the cached-vs-naive factor.  The committed
+``BENCH_perf.json`` (full mode, 100/200-node cases) is the tracked
+artifact; this bench is the in-tree view of the same numbers at CI scale.
 
 Invoke with ``pytest benchmarks/bench_perf.py``; set ``REPRO_BENCH_FULL=1``
 to include the 100/200-node cases (minutes, not seconds).

@@ -19,7 +19,8 @@ update per crossed link — and is compiled with ``-ffp-contract=off`` so
 no FMA contraction can perturb a rounding.  IEEE-754 doubles make each
 of those operations exactly reproducible across the C and numpy
 implementations, so both backends (C kernels and numpy, the latter
-also the ``REPRO_NO_CACHE=1`` reference) produce byte-identical rates;
+also what a network built under ``REPRO_NO_CACHE=1`` takes) produce
+byte-identical rates;
 ``tests/test_perf_cache.py`` and ``tests/test_fabric_backends.py``
 assert this directly.
 

@@ -16,7 +16,9 @@ keys are:
 * ``no-print-exclude`` — entry points allowed to call ``print()``;
 * ``select`` / ``ignore`` — filter by rule id, like the CLI flags;
 * ``baseline`` — the committed findings baseline, resolved against the
-  project root.
+  project root (against the analyzed path's directory when no
+  ``pyproject.toml`` sits above it; never against the invocation
+  directory).
 """
 
 from __future__ import annotations
@@ -119,11 +121,12 @@ class CheckConfig:
     def may_print(self, scope: Path) -> bool:
         return _suffix_match(Path(scope).as_posix(), self.no_print_exclude)
 
-    def baseline_path(self) -> Path:
+    def baseline_path(self, fallback: Path) -> Path:
+        """The baseline file, under the project root or else ``fallback``."""
         raw = Path(self.baseline)
-        if raw.is_absolute() or self.root is None:
+        if raw.is_absolute():
             return raw
-        return self.root / raw
+        return (self.root or fallback) / raw
 
     # ------------------------------------------------------------------
     @classmethod

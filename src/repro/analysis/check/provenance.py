@@ -27,7 +27,8 @@ This pass verifies the contract statically, whole-program:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from collections import deque
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.check.findings import Finding
 from repro.analysis.check.project import (
@@ -218,26 +219,21 @@ def check_provenance(project: Project) -> List[Finding]:
                 if info.module is module:
                     scopes.append((info, _FunctionScope(info.node)))
 
+        arities: Optional[Dict[int, Optional[int]]] = None  # on first spawn
         for info, scope in scopes:
-            root = info.node if info is not None else module.tree
-            nested = (
-                {
-                    id(n)
-                    for fn in ast.walk(root)
-                    if fn is not root
-                    and isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    for n in ast.walk(fn)
-                }
-                if info is None
-                else set()
+            nodes = (
+                ast.walk(info.node) if info is not None
+                else _module_scope(module.tree)
             )
-            for node in ast.walk(root):
-                if id(node) in nested or not isinstance(node, ast.Call):
+            for node in nodes:
+                if not isinstance(node, ast.Call):
                     continue
                 name = callee_name(node)
                 if name == "spawn" and isinstance(node.func, ast.Attribute):
                     count = _spawn_count(node, registry_size)
-                    targets = _unpack_arity(module.tree, node)
+                    if arities is None:
+                        arities = _unpack_arities(module.tree)
+                    targets = arities.get(id(node))
                     if (
                         count is not None
                         and targets is not None
@@ -294,13 +290,32 @@ def check_provenance(project: Project) -> List[Finding]:
     return findings
 
 
-def _unpack_arity(tree: ast.Module, call: ast.Call) -> Optional[int]:
-    """Number of names the enclosing assignment unpacks ``call`` into."""
+def _module_scope(tree: ast.Module) -> Iterator[ast.AST]:
+    """``ast.walk`` order over ``tree``, minus every function definition.
+
+    A function's nodes (decorators and defaults included) belong to its
+    own scope, which the caller walks separately.
+    """
+    todo = deque([tree])
+    while todo:
+        node = todo.popleft()
+        todo.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+        yield node
+
+
+def _unpack_arities(tree: ast.Module) -> Dict[int, Optional[int]]:
+    """``id(value)`` -> names its assignment unpacks it into (None: one)."""
+    arities: Dict[int, Optional[int]] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and node.value is call:
-            if len(node.targets) == 1 and isinstance(
-                node.targets[0], (ast.Tuple, ast.List)
-            ):
-                return len(node.targets[0].elts)
-            return None
-    return None
+        if isinstance(node, ast.Assign):
+            target = node.targets[0]
+            arities[id(node.value)] = (
+                len(target.elts)
+                if len(node.targets) == 1
+                and isinstance(target, (ast.Tuple, ast.List))
+                else None
+            )
+    return arities

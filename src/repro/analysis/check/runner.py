@@ -190,7 +190,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parse_failures = [f for f in findings if f.rule == "parse-error"]
 
-    baseline_path = config.baseline_path()
+    first = paths[0].resolve()
+    baseline_path = config.baseline_path(
+        first if first.is_dir() else first.parent
+    )
     if args.update_baseline:
         baseline_mod.write_baseline(baseline_path, findings)
         print(

@@ -181,10 +181,24 @@ def check_vocab(project: Project) -> List[Finding]:
         if member is not None:
             member.used = True
 
-    # ------------------------------------------------------------------
-    # use-site walk: unknown members + use marking
-    # ------------------------------------------------------------------
+    # per-vocabulary lookups for the use marking below.  Every member is
+    # looked up, not only those still unused: marking is idempotent, and
+    # one walk per module then serves every vocabulary.
+    marks = []
+    for vocab in vocabs.values():
+        members = vocab.members.values()
+        marks.append((
+            vocab,
+            {m.const_name: m for m in members if m.const_name},
+            {m.event_class: m for m in members if m.event_class},
+        ))
+    event_vocab = vocabs.get(_EVENT_VOCAB)
+
     for module in project.modules.values():
+        def_lines = [v.def_lines.get(module.path, ()) for v in vocabs.values()]
+        # bare string statements, recorded before their Constant child is
+        # visited (ast.walk is breadth-first): documentation, not a use
+        docstrings: Set[int] = set()
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 name = callee_name(node)
@@ -211,7 +225,6 @@ def check_vocab(project: Project) -> List[Finding]:
                                 "or fix the spelling",
                             )
                 # event-class instantiation marks its tag used
-                event_vocab = vocabs.get(_EVENT_VOCAB)
                 if name and event_vocab is not None:
                     for member in event_vocab.members.values():
                         if member.event_class == name:
@@ -243,57 +256,37 @@ def check_vocab(project: Project) -> List[Finding]:
                                 f"comparison against {value!r} — not a "
                                 f"member of {vocab_name}",
                             )
-
-    # ------------------------------------------------------------------
-    # unused members: constant loads, literal occurrences, instantiations
-    # ------------------------------------------------------------------
-    for vocab in vocabs.values():
-        pending = {
-            value: m for value, m in vocab.members.items() if not m.used
-        }
-        if not pending:
-            continue
-        const_names = {
-            m.const_name: m for m in pending.values() if m.const_name
-        }
-        class_names = {
-            m.event_class: m for m in pending.values() if m.event_class
-        }
-        values = {m.value: m for m in pending.values()}
-        for module in project.modules.values():
-            def_lines = vocab.def_lines.get(module.path, set())
-            for node in ast.walk(module.tree):
-                if (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.lineno not in def_lines
-                ):
-                    member = const_names.get(node.id) or class_names.get(
-                        node.id
-                    )
-                    if member is not None:
-                        member.used = True
-                elif isinstance(node, (ast.ImportFrom,)):
-                    for alias in node.names:
-                        member = const_names.get(alias.name) or class_names.get(
+            # unused members: constant loads, literal occurrences, imports
+            elif isinstance(node, ast.Expr):
+                docstrings.add(id(node.value))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                for (_, consts, classes), lines in zip(marks, def_lines):
+                    if node.lineno not in lines:
+                        member = consts.get(node.id) or classes.get(node.id)
+                        if member is not None:
+                            member.used = True
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    for _, consts, classes in marks:
+                        member = consts.get(alias.name) or classes.get(
                             alias.name
                         )
                         if member is not None and module.path != member.module.path:
                             member.used = True
-                elif (
-                    isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                    and node.lineno not in def_lines
-                ):
-                    member = values.get(node.value)
-                    if member is not None and not _is_docstring_line(
-                        module, node
-                    ):
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+            ):
+                for (vocab, _, _), lines in zip(marks, def_lines):
+                    member = vocab.members.get(node.value)
+                    if member is not None and node.lineno not in lines:
                         member.used = True
+
+    for vocab in vocabs.values():
+        pending = [value for value, m in vocab.members.items() if not m.used]
         for value in sorted(pending):
             member = vocab.members[value]
-            if member.used:
-                continue
             label = (
                 f"constant {member.const_name}" if member.const_name
                 else f"event class {member.event_class}" if member.event_class
@@ -311,14 +304,3 @@ def check_vocab(project: Project) -> List[Finding]:
                 )
             )
     return findings
-
-
-def _is_docstring_line(module: ModuleInfo, node: ast.Constant) -> bool:
-    """Best-effort: treat a bare string expression as documentation."""
-    for stmt in ast.walk(module.tree):
-        if (
-            isinstance(stmt, ast.Expr)
-            and stmt.value is node
-        ):
-            return True
-    return False

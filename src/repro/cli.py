@@ -504,7 +504,8 @@ def _bench_main(argv: List[str]) -> int:
                         help="regression threshold versus the baseline "
                         "(default: 2.0x wall time)")
     parser.add_argument("--no-speedup", action="store_true",
-                        help="skip the REPRO_NO_CACHE=1 reference re-run")
+                        help="skip the re-run with REPRO_NO_CACHE on (every "
+                        "@cached_on cache runs its declared reference)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         metavar="X",
                         help="fail (exit 1) if the cached-vs-naive factor "

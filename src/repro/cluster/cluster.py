@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache import caching_disabled
 from repro.coherence import cached_on
 from repro.cluster.network import FlowNetwork
 from repro.cluster.node import Node
@@ -125,7 +124,6 @@ class Cluster:
         self.routing = None
         self._hops = topology.hop_matrix().astype(np.float64)
         # hot-path caches (all behaviour-invisible; REPRO_NO_CACHE bypasses)
-        self._no_cache = caching_disabled()
         self._free_map_view: Optional[tuple] = None
         self._free_reduce_view: Optional[tuple] = None
         self._inv_rate_cache: Optional[tuple] = None
@@ -179,8 +177,6 @@ class Cluster:
         default the matrix is scaled so that an idle host link's inverse
         rate maps to 2.0, the same-rack hop count).
         """
-        if self._no_cache:
-            return self._inverse_rate_matrix_uncached(scale=scale)
         key = (self.network.epoch, scale)
         cached = self._inv_rate_cache
         if cached is not None and cached[0] == key:
@@ -261,13 +257,9 @@ class Cluster:
         automatically on any slot or liveness transition (see
         ``Node.__setattr__``).
         """
-        view = self._free_map_view
-        if view is None or self._no_cache:
-            view = self._free_map_slot_view_uncached()
-            if self._no_cache:
-                return view
-            self._free_map_view = view
-        return view
+        if self._free_map_view is None:
+            self._free_map_view = self._free_map_slot_view_uncached()
+        return self._free_map_view
 
     @cached_on(
         invalidator="_invalidate_slot_views",
@@ -278,13 +270,9 @@ class Cluster:
     )
     def free_reduce_slot_view(self) -> tuple:
         """As :meth:`free_map_slot_view`, for reduce slots."""
-        view = self._free_reduce_view
-        if view is None or self._no_cache:
-            view = self._free_reduce_slot_view_uncached()
-            if self._no_cache:
-                return view
-            self._free_reduce_view = view
-        return view
+        if self._free_reduce_view is None:
+            self._free_reduce_view = self._free_reduce_slot_view_uncached()
+        return self._free_reduce_view
 
     def _free_map_slot_view_uncached(self) -> tuple:
         """Reference recompute behind :meth:`free_map_slot_view`."""

@@ -59,9 +59,8 @@ import networkx as nx
 import numpy as np
 
 from repro import accel as _accel
-from repro.cache import caching_disabled
 from repro.cluster.topology import LinkKey, Topology, _canon
-from repro.coherence import cached_on
+from repro.coherence import cached_on, reference_paths_active
 from repro.obs import profile as _obs_profile
 from repro.sim import Event, Simulator
 from repro.units import MB
@@ -72,8 +71,9 @@ __all__ = ["Flow", "FlowNetwork"]
 #: recomputed on a version key: writes to these structures are only legal
 #: inside the listed maintainer methods (plus ``__init__``); ``repro check``
 #: flags any other write site.  ``_refill`` runs on the backend chosen at
-#: construction; its reference is the numpy ``_refill_reference``, which is
-#: also the backend under ``REPRO_NO_CACHE=1`` and on compiler-less hosts.
+#: construction; its reference is the numpy ``_refill_reference``, which
+#: ``FlowNetwork.__init__`` picks under ``REPRO_NO_CACHE=1`` (not via the
+#: ``@cached_on`` switch) and on compiler-less hosts.
 CACHE_DEPS = {
     "FlowNetwork._refill": {
         "inputs": (
@@ -221,7 +221,10 @@ class FlowNetwork:
         #: on this value — see :meth:`rate_matrix` and
         #: ``Cluster.inverse_rate_matrix``.
         self.epoch = 0
-        self._no_cache = caching_disabled()
+        # REPRO_NO_CACHE, read once for the two choices that are not
+        # declared caches: the numpy backend and no refill deferral
+        reference = reference_paths_active()
+        self._defer_refill = not reference
         # epoch-keyed rate_matrix cache + lazily built static route tensor
         self._rm_cache: Optional[np.ndarray] = None
         self._rm_epoch = -1
@@ -259,7 +262,7 @@ class FlowNetwork:
         self._route_lens = np.zeros(cap0, dtype=np.int64)
         # the fabric backend, fixed for the network's life: the C kernels
         # when they compile, numpy otherwise and under REPRO_NO_CACHE
-        kern = None if self._no_cache else _accel.refill_kernel()
+        kern = None if reference else _accel.refill_kernel()
         self._backend = _NumpyFabric(self) if kern is None else _CFabric(self, kern)
         self._finite_caps = 0  # attached flows with a finite max_rate
         self._refill_deferred = False
@@ -619,8 +622,6 @@ class FlowNetwork:
         (same shares, and ``min`` over the same float set is exact), which
         remains the reference path under ``REPRO_NO_CACHE=1``.
         """
-        if self._no_cache:
-            return self._rate_matrix_uncached()
         if self._rm_cache is not None and self._rm_epoch == self.epoch:
             return self._rm_cache
         prof = _obs_profile.ACTIVE
@@ -864,7 +865,7 @@ class FlowNetwork:
         # deferral so a detaching flow still freezes a fresh final rate).
         ev = self._tick_event
         if (
-            not self._no_cache
+            self._defer_refill
             and ev is not None
             and ev.active
             and ev.time <= self.sim.now
@@ -964,7 +965,8 @@ class FlowNetwork:
         members of every minimum-share link), and identical fused
         ``rate * count`` capacity updates.  The A/B reference for
         :meth:`_refill`, and the implementation of record when no C
-        compiler is available or under ``REPRO_NO_CACHE=1``.
+        compiler is available or the network was built under
+        ``REPRO_NO_CACHE=1``.
         """
         nF = len(self._flows)
         if nF == 0:
@@ -1058,9 +1060,9 @@ def _check_rc(rc: int, where: str) -> int:
 class _NumpyFabric:
     """The numpy backend: settle, drain-detect, ``_refill_reference``.
 
-    Used when the C kernels do not compile and under ``REPRO_NO_CACHE=1``;
-    the reference the C backend is tested against.  Reads and writes the
-    network's slot arrays in place.
+    Used when the C kernels do not compile and by networks built under
+    ``REPRO_NO_CACHE=1``; the reference the C backend is tested against.
+    Reads and writes the network's slot arrays in place.
     """
 
     def __init__(self, net: FlowNetwork) -> None:

@@ -1,27 +1,35 @@
-"""Cache-coherence declarations and the ``REPRO_SANITIZE=cache`` sanitizer.
+"""Cache declarations, the ``REPRO_NO_CACHE`` switch and the cache sanitizer.
 
-PR 4 built the scheduler hot path on epoch/version-keyed caches; PR 6 makes
-the convention *verifiable*.  Every cached computation declares itself with
-:func:`cached_on`::
+The scheduler hot path caches its rate and inverse-rate matrices, slot
+views, task lists and cost bundles on version counters.  Every such cache
+must be *behaviour-invisible* (a same-seed run is byte-identical with the
+caches on or off) and declares itself with :func:`cached_on`::
 
     @cached_on("epoch", inputs=("FlowNetwork._link_flows",),
                reference="_rate_matrix_uncached",
                probe=lambda self: self._rm_epoch == self.epoch)
     def rate_matrix(self): ...
 
-The declaration is read twice:
+The declaration is read three ways:
 
 * **statically** — ``repro check`` parses the decorator (and any module-level
   ``CACHE_DEPS`` map) into its declaration registry and runs a whole-program
   dataflow pass: every attribute write that reaches a declared cache input
   must be accompanied by a bump of the declared version counter (or a call
   to the declared invalidator) on every path, or the write is flagged;
+* **as the reference switch** — ``REPRO_NO_CACHE=1`` (any value but empty
+  or ``0``) makes the wrapper return ``reference(*args, **kwargs)`` instead
+  of the cached body: the naive behaviour the determinism tests compare
+  against, and the first thing to try when a caching bug is suspected.
+  Cached method bodies never test the mode themselves;
 * **at runtime** — when the environment sets ``REPRO_SANITIZE=cache``, each
-  declared cache shadow-executes its ``reference`` (the naive recompute kept
-  as the ``REPRO_NO_CACHE=1`` escape hatch) on a deterministic sample of
-  cache *hits* and asserts byte-equality, closing the loop between the
+  declared cache shadow-executes its ``reference`` on a deterministic sample
+  of cache *hits* and asserts byte-equality, closing the loop between the
   static claim and runtime truth.  A mismatch raises
   :class:`CacheCoherenceError` immediately, naming the incoherent layer.
+
+Both variables are read at import; :func:`set_reference_paths` and
+:func:`set_sanitize_cache` flip them between runs (tests, ``repro bench``).
 
 Declaration fields
 ------------------
@@ -37,8 +45,8 @@ Declaration fields
     hunts for unaccompanied writes to them; an unqualified name is owned by
     the decorated method's class.
 ``reference``
-    Method name of the naive recompute used for runtime shadow execution
-    (and checked to exist by the static pass).
+    Method name of the naive recompute run under ``REPRO_NO_CACHE=1`` and
+    by the sanitizer (and checked to exist by the static pass).
 ``watcher``
     For caches invalidated through an attribute hook
     (``"Node.__setattr__"``): the static pass verifies the hook exists and
@@ -51,8 +59,8 @@ Declaration fields
     Verify the first hit and then every ``sample``-th one (pure counter —
     deterministic, no RNG draw that could shift a seeded run).
 
-The sanitizer is off by default and the wrapper then adds a single
-attribute check per call, so the hot path keeps its PR 4 profile.
+Both switches are off by default and the wrapper then adds a single
+attribute check per call, so the hot path keeps its cached profile.
 """
 
 from __future__ import annotations
@@ -67,14 +75,18 @@ __all__ = [
     "CacheDecl",
     "DECLARATIONS",
     "cached_on",
+    "reference_paths_active",
     "sanitize_cache_active",
     "sanitizer_report",
+    "set_reference_paths",
     "set_sanitize_cache",
     "reset_sanitizer_stats",
 ]
 
 #: Environment variable selecting runtime sanitizers (comma-separated).
 ENV_VAR = "REPRO_SANITIZE"
+#: Environment variable routing every declared cache to its reference.
+NO_CACHE_ENV_VAR = "REPRO_NO_CACHE"
 
 
 class CacheCoherenceError(AssertionError):
@@ -102,11 +114,16 @@ DECLARATIONS: Dict[str, CacheDecl] = {}
 
 
 class _State:
-    __slots__ = ("cache",)
+    __slots__ = ("cache", "reference", "plain")
 
     def __init__(self) -> None:
         modes = os.environ.get(ENV_VAR, "")
         self.cache = "cache" in {m.strip() for m in modes.split(",")}
+        self.reference = os.environ.get(NO_CACHE_ENV_VAR, "") not in ("", "0")
+        self.update()
+
+    def update(self) -> None:
+        self.plain = not (self.cache or self.reference)  # wrapper fast path
 
 
 _STATE = _State()
@@ -120,6 +137,18 @@ def sanitize_cache_active() -> bool:
 def set_sanitize_cache(active: bool) -> None:
     """Toggle the cache sanitizer at runtime (tests)."""
     _STATE.cache = bool(active)
+    _STATE.update()
+
+
+def reference_paths_active() -> bool:
+    """True when ``REPRO_NO_CACHE`` routes declared caches to references."""
+    return _STATE.reference
+
+
+def set_reference_paths(active: bool) -> None:
+    """Toggle the reference switch; build a fresh simulation after it."""
+    _STATE.reference = bool(active)
+    _STATE.update()
 
 
 def reset_sanitizer_stats() -> None:
@@ -193,6 +222,10 @@ def cached_on(
 
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
+            if _STATE.plain:
+                return fn(self, *args, **kwargs)
+            if _STATE.reference and reference is not None:
+                return getattr(self, reference)(*args, **kwargs)
             if not _STATE.cache:
                 return fn(self, *args, **kwargs)
             hit = bool(probe(self, *args, **kwargs)) if probe else False

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache import caching_disabled
 from repro.coherence import cached_on
 from repro.core.estimator import IntermediateEstimator, ProgressEstimator
 from repro.obs import profile as _obs_profile
@@ -180,7 +179,6 @@ class JobCostModel:
         # caches keyed to the static hop matrix
         self._map_cost_hops: Optional[np.ndarray] = None
         self._Sc = np.zeros((self._k, self._n), dtype=np.float64)
-        self._no_cache = caching_disabled()
         # the netcond running cost vectors: completed-map contribution
         # matrix against a custom distance view, keyed on (map_version,
         # distance identity).  Holding the distance array in the key tuple
@@ -282,24 +280,13 @@ class JobCostModel:
                 # shaped matmul keeps the BLAS kernel (and therefore the
                 # bytes) the same on both sides.
                 dmat = distance
-                if self._no_cache:
-                    cd = self._distance_done_matrix_uncached(dmat)
-                else:
-                    cd = self._distance_done_matrix(dmat)
-                base = cd[np.ix_(node_indices, reduce_indices)]
+                base = self._distance_done_matrix(dmat)[
+                    np.ix_(node_indices, reduce_indices)
+                ]
 
             if running:
-                if self._no_cache:
-                    p_run = np.array(
-                        [m.node.index for m in running], dtype=np.int64
-                    )
-                    est_rows = np.stack(
-                        [est.estimate(m, now) for m in running]
-                    )
-                else:
-                    p_run = self.job.running_map_node_index_array()
-                    est_rows = est.estimate_many(running, now)
-                est_rows = est_rows[:, reduce_indices]
+                p_run = self.job.running_map_node_index_array()
+                est_rows = est.estimate_many(running, now)[:, reduce_indices]
                 base = base + _inf_safe_matmul(
                     dmat[np.ix_(node_indices, p_run)], est_rows
                 )
@@ -399,10 +386,6 @@ class JobCostModel:
         between genuine set changes then share one evaluation; only the
         row gather is per-offer.
         """
-        if self._no_cache:
-            return self._map_offer_costs_uncached(
-                row, node_indices, task_indices, distance
-            )
         cached = self._map_offer_cache
         if (
             cached is not None
@@ -463,11 +446,6 @@ class JobCostModel:
         ``map_version`` (done contributions) plus the distance snapshot by
         identity and both index sets by content.
         """
-        if self._no_cache:
-            return self._reduce_offer_costs_uncached(
-                row, node_indices, reduce_indices, now,
-                estimator=estimator, distance=distance,
-            )
         if self.job.running_maps():
             costs = self.reduce_costs(
                 node_indices, reduce_indices, now,

@@ -617,15 +617,9 @@ class JobTracker:
                     if launched:
                         continue
                 if candidates:
-                    reason = round_reason or NO_CANDIDATE
-                    self.collector.offer_declined("map", reason)
-                    if rec.enabled:
-                        rec.emit(
-                            Decline(
-                                t=self.sim.now, node=node.name, kind="map",
-                                reason=reason, job_id=head_job,
-                            )
-                        )
+                    self._record_decline(
+                        node, "map", round_reason or NO_CANDIDATE, head_job
+                    )
                 return
 
     def _try_speculate(self, node: Node) -> bool:
@@ -725,13 +719,7 @@ class JobTracker:
                     round_reason = self._noted_reason
                     head_job = job.spec.job_id
             if not assigned:
-                reason = round_reason or NO_CANDIDATE
-                self.collector.offer_declined("reduce", reason)
-                if rec.enabled:
-                    rec.emit(
-                        Decline(
-                            t=self.sim.now, node=node.name, kind="reduce",
-                            reason=reason, job_id=head_job,
-                        )
-                    )
+                self._record_decline(
+                    node, "reduce", round_reason or NO_CANDIDATE, head_job
+                )
                 return

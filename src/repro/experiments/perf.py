@@ -27,12 +27,12 @@ byte-identical trace, cached or not (``tests/test_perf_cache.py``).
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.cluster import ClusterSpec
+from repro.coherence import reference_paths_active, set_reference_paths
 from repro.experiments.scenarios import Scenario
 from repro.faults import FaultPlan, NodeChurn
 from repro.schedulers import TaskScheduler
@@ -271,15 +271,12 @@ def profile_case(case: BenchCase) -> Dict:
 
 def _run_case_nocache(case: BenchCase, *, repeat: int = 1) -> Dict:
     """Run a case on the unoptimised reference paths (REPRO_NO_CACHE=1)."""
-    previous = os.environ.get("REPRO_NO_CACHE")
-    os.environ["REPRO_NO_CACHE"] = "1"
+    previous = reference_paths_active()
+    set_reference_paths(True)
     try:
         return run_case(case, repeat=repeat)
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_CACHE", None)
-        else:
-            os.environ["REPRO_NO_CACHE"] = previous
+        set_reference_paths(previous)
 
 
 def run_bench(

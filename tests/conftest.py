@@ -40,7 +40,22 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def use_backend(monkeypatch):
+def reference_paths():
+    """``set_reference_paths`` for one test; the switch is restored after it.
+
+    ``reference_paths(True)`` is ``REPRO_NO_CACHE=1``: every ``@cached_on``
+    method runs its declared reference, and FlowNetworks built next take
+    the numpy backend without refill deferral.
+    """
+    from repro.coherence import reference_paths_active, set_reference_paths
+
+    was = reference_paths_active()
+    yield set_reference_paths
+    set_reference_paths(was)
+
+
+@pytest.fixture
+def use_backend(monkeypatch, reference_paths):
     """Select the fabric backend that FlowNetworks built next will use.
 
     ``FlowNetwork`` picks its backend at construction.  "c" is the compiled
@@ -51,12 +66,10 @@ def use_backend(monkeypatch):
     from repro import accel
 
     def select(backend: str) -> None:
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        reference_paths(backend == "no_cache")
         if backend == "c" and accel.refill_kernel() is None:
             pytest.skip("C kernels unavailable")
         elif backend == "numpy":
             monkeypatch.setattr(accel, "refill_kernel", lambda: None)
-        elif backend == "no_cache":
-            monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
     return select

@@ -851,6 +851,27 @@ class TestWholeTree:
         assert check_main(["--update-baseline", target]) == 0
         assert check_main([target]) == 0
 
+    def test_update_baseline_outside_a_project_writes_beside_the_tree(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # no pyproject.toml above tmp_path: the baseline must land in the
+        # analyzed directory, not in the invocation directory (the repo)
+        committed = REPO / "CHECK_BASELINE.json"
+        before = committed.read_bytes()
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "mod.py").write_text(AMBIENT_RNG, encoding="utf-8")
+        monkeypatch.chdir(REPO)
+        try:
+            assert check_main(["--update-baseline", str(tree)]) == 0
+            assert committed.read_bytes() == before
+        finally:
+            if committed.read_bytes() != before:
+                committed.write_bytes(before)
+        recorded = load_baseline(tree / "CHECK_BASELINE.json")
+        assert [fp.split("|")[0] for fp in recorded] == ["rng-ambient"]
+        assert check_main([str(tree)]) == 0
+
     def test_cli_json_format_emits_all_findings(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text(AMBIENT_RNG, encoding="utf-8")
         check_main(["--no-baseline", "--format", "json", str(tmp_path)])

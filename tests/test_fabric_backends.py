@@ -2,8 +2,9 @@
 
 ``FlowNetwork`` picks its backend once, at construction: the compiled
 kernels of :mod:`repro.accel` when they build (``_CFabric``), numpy
-otherwise and under ``REPRO_NO_CACHE=1`` (``_NumpyFabric``, whose refill is
-``_refill_reference``).  Covered here:
+otherwise and when built under ``REPRO_NO_CACHE=1`` (``_NumpyFabric``, whose
+refill is ``_refill_reference``).  The tests flip that switch with
+``set_reference_paths`` through the ``reference_paths`` fixture.  Covered here:
 
 * a differential hypothesis test: random start/cancel/advance sequences,
   with finite rate caps and routes longer than the C state's initial
@@ -160,9 +161,9 @@ WIDEN_WITH_LIVE_ROWS = [
 ]
 
 
-def lockstep_nets(monkeypatch, topo):
+def lockstep_nets(monkeypatch, reference_paths, topo):
     """A C-backed network and a numpy-backed twin on one topology."""
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    reference_paths(False)
     sim_c, sim_np = Simulator(), Simulator()
     net_c = FlowNetwork(sim_c, topo)
     with monkeypatch.context() as m:
@@ -190,14 +191,18 @@ def assert_same_state(net_a, net_b):
 )
 @given(ops=st.lists(op, min_size=4, max_size=40))
 @example(ops=WIDEN_WITH_LIVE_ROWS)
-def test_c_refill_matches_reference_bit_for_bit(monkeypatch, topo_kind, ops):
+def test_c_refill_matches_reference_bit_for_bit(
+    monkeypatch, reference_paths, topo_kind, ops
+):
     topo = (
         rack_topology(3, 4, host_link=1 * Gbps, tor_uplink=2 * Gbps)
         if topo_kind == "rack"
         else path_topology()
     )
     hosts = topo.hosts
-    (sim_c, net_c), (sim_np, net_np) = lockstep_nets(monkeypatch, topo)
+    (sim_c, net_c), (sim_np, net_np) = lockstep_nets(
+        monkeypatch, reference_paths, topo
+    )
     flows = []
     for entry in ops:
         kind = entry[0]

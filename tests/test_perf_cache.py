@@ -2,10 +2,12 @@
 
 The caches (epoch-keyed rate matrices, job/cluster index views, vectorised
 estimation) must be pure accelerations: a run with caching enabled and the
-same run with ``REPRO_NO_CACHE=1`` (which routes every call through the
-original naive code paths) have to produce byte-identical traces.  The flag
-is read once at construction time, so each comparison builds a fresh
-simulation under ``monkeypatch``-controlled environment.
+same run with ``REPRO_NO_CACHE=1`` (under which the ``@cached_on`` decorator
+routes every call to its declared naive reference) have to produce
+byte-identical traces.  Each comparison flips the switch with
+``set_reference_paths`` (the ``reference_paths`` fixture restores it) and
+builds a fresh simulation, since a network fixes its backend at
+construction.
 
 Also covered here, white-box: the rate-matrix epoch cache itself, the
 free-slot views, the O(1) ``Simulator.pending`` counter with heap
@@ -66,7 +68,7 @@ def run_traced(tmp_path, tag, *, netcond, churn):
     ],
 )
 def test_same_seed_trace_identical_with_and_without_caches(
-    tmp_path, monkeypatch, use_backend, variant, backend
+    tmp_path, monkeypatch, use_backend, reference_paths, variant, backend
 ):
     netcond = variant != "hop"
     churn = variant == "netcond_churn"
@@ -76,7 +78,7 @@ def test_same_seed_trace_identical_with_and_without_caches(
         tmp_path, "cached", netcond=netcond, churn=churn
     )
     monkeypatch.undo()  # the naive reference runs on the default build
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    reference_paths(True)
     naive_bytes, _ = run_traced(tmp_path, "naive", netcond=netcond, churn=churn)
 
     assert cached_bytes, "trace was empty — nothing was compared"
@@ -85,6 +87,38 @@ def test_same_seed_trace_identical_with_and_without_caches(
         # the fault plan must actually fire, otherwise this variant never
         # exercises epoch invalidation under node loss
         assert cached_result.collector.nodes_lost > 0
+
+
+@pytest.mark.parametrize(
+    "reference", [False, True], ids=["cached", "reference"]
+)
+def test_reference_paths_fill_no_production_cache(reference_paths, reference):
+    """Under the switch every declared cache runs its reference instead."""
+    reference_paths(reference)
+    scheduler = ProbabilisticNetworkAwareScheduler(
+        PNAConfig(network_condition=True)
+    )
+    sim = Simulation(
+        cluster=ClusterSpec(num_racks=2, nodes_per_rack=3),
+        scheduler=scheduler,
+        jobs=table2_batch("grep", scale=0.05)[:2],
+        seed=123,
+    )
+    sim.run(until=30.0)
+    cluster = sim.cluster
+    job = sim.tracker.all_jobs()[0]
+    # call the entry points whose caches the run may have dropped again
+    cluster.free_map_slot_view()
+    job.pending_maps()
+    filled = {
+        "rate_matrix": cluster.network._rm_cache,
+        "inverse_rate_matrix": cluster._inv_rate_cache,
+        "free_map_slot_view": cluster._free_map_view,
+        "pending_maps": job._pending_maps,
+        "distance_done_matrix": scheduler.cost_model(job)._dist_done_cache,
+    }
+    for name, cache in filled.items():
+        assert (cache is None) == reference, name
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,12 @@ def _run_fabric_traced(tmp_path, tag):
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
 def test_fabric_fault_trace_identical_with_and_without_caches(
-    tmp_path, monkeypatch, use_backend, backend
+    tmp_path, monkeypatch, use_backend, reference_paths, backend
 ):
     use_backend(backend)
     cached_bytes, result = _run_fabric_traced(tmp_path, "cached")
     monkeypatch.undo()  # the naive reference runs on the default build
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    reference_paths(True)
     naive_bytes, _ = _run_fabric_traced(tmp_path, "naive")
 
     assert cached_bytes, "trace was empty — nothing was compared"

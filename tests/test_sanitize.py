@@ -1,4 +1,5 @@
-"""Runtime cache sanitizer (``REPRO_SANITIZE=cache``) coverage.
+"""Runtime cache sanitizer (``REPRO_SANITIZE=cache``) and reference-switch
+(``REPRO_NO_CACHE``) coverage of the ``@cached_on`` decorator.
 
 The ``@cached_on`` declarations that ``repro check`` verifies statically
 double as runtime contracts: with the sanitizer on, every declared cache
@@ -7,7 +8,9 @@ of cache hits and asserts byte-equality.  The end-to-end test drives a
 network-condition PNA run — the only scheduler mode that exercises
 ``FlowNetwork.rate_matrix``, ``Cluster.inverse_rate_matrix`` and
 ``JobCostModel._distance_done_matrix`` — and demands at least one
-shadow-verified hit per declared cache layer.
+shadow-verified hit per declared cache layer.  The white-box tests also
+check that ``REPRO_NO_CACHE`` is read by the decorator: with the switch on,
+a declared cache returns its reference and never consults its own state.
 """
 
 from __future__ import annotations
@@ -195,3 +198,28 @@ def test_env_var_activation(monkeypatch):
     assert _State().cache is False
     monkeypatch.delenv("REPRO_SANITIZE")
     assert _State().cache is False
+
+
+def test_reference_switch_env_var_activation(monkeypatch):
+    from repro.coherence import _State
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    assert _State().reference is True
+    assert _State().plain is False
+    for off in ("", "0"):
+        monkeypatch.setenv("REPRO_NO_CACHE", off)
+        assert _State().reference is False
+    monkeypatch.delenv("REPRO_NO_CACHE")
+    assert _State().reference is False
+    assert _State().plain is True
+
+
+def test_reference_switch_routes_to_reference(reference_paths):
+    c = _Counter()
+    c.add(1)
+    assert c.total() == 1  # fills the cache
+    c.corrupt(10)  # stale cache: only the reference sees the new item
+    reference_paths(True)
+    assert c.total() == 11
+    assert c._cache == 1  # the cached body never ran
